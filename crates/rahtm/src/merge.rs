@@ -935,13 +935,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn shared_cache_does_not_change_the_merge() {
-        // A pre-warmed shared stencil cache must yield the identical block
-        // and bit-identical MCL as a run with a private cache.
-        let topo = Torus::mesh(&[4, 4]);
-        let g = patterns::random(16, 40, 1.0, 10.0, 11);
-        let children: Vec<PositionedBlock> = (0..4)
+    /// Four 2×2 quadrant children of a 4×4 parent, members shuffled.
+    fn quadrant_children() -> Vec<PositionedBlock> {
+        (0..4)
             .map(|q| {
                 let base = q * 4;
                 PositionedBlock {
@@ -957,7 +953,16 @@ mod tests {
                     origin: c(&[(q / 2) as u16 * 2, (q % 2) as u16 * 2]),
                 }
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn shared_cache_does_not_change_the_merge() {
+        // A pre-warmed shared stencil cache must yield the identical block
+        // and bit-identical MCL as a run with a private cache.
+        let topo = Torus::mesh(&[4, 4]);
+        let g = patterns::random(16, 40, 1.0, 10.0, 11);
+        let children = quadrant_children();
         let private = merge_blocks(&topo, &g, &children, &c(&[0, 0]), &c(&[4, 4]), &MergeOptions::default());
         let shared = Arc::new(RouteStencilCache::new(&topo));
         let cached = merge_blocks(
@@ -982,6 +987,47 @@ mod tests {
         );
         assert_eq!(private.mcl, rerun.mcl);
         assert_eq!(private.block.members, rerun.block.members);
+    }
+
+    #[test]
+    fn concurrent_merges_on_one_cold_shared_cache_match_private() {
+        // Two threads merge at once through one cold shared cache, racing
+        // to fill its cells (as the pipeline's slice workers do). Each must
+        // return the private-cache block and a bit-identical MCL.
+        let topo = Torus::torus(&[4, 4]);
+        let g = patterns::random(16, 60, 1.0, 10.0, 23);
+        let children = quadrant_children();
+        let merge = |stencils| {
+            let opts = MergeOptions {
+                stencils,
+                thread_cap: 1,
+                ..Default::default()
+            };
+            merge_blocks(&topo, &g, &children, &c(&[0, 0]), &c(&[4, 4]), &opts)
+        };
+        let private = merge(None);
+        for _ in 0..8 {
+            let shared = Arc::new(RouteStencilCache::new(&topo));
+            let barrier = std::sync::Barrier::new(2);
+            let results: Vec<MergeResult> = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..2)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            merge(Some(Arc::clone(&shared)))
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).collect()
+            });
+            for r in &results {
+                assert_eq!(r.mcl.to_bits(), private.mcl.to_bits());
+                assert_eq!(r.block.members, private.block.members);
+            }
+            // both merges looked up the same flows; only first lookups miss
+            assert_eq!(shared.misses(), shared.entries());
+            assert!(shared.hits() > shared.misses());
+        }
     }
 
     use rahtm_commgraph::CommGraph;

@@ -711,13 +711,10 @@ impl RahtmMapper {
                 );
                 for (li, &child) in children.iter().enumerate() {
                     let v = embed_vertex(&leaf_cube, place[li], &active, nd);
+                    // inactive dims stay 0: both terms are 0 there
                     let mut c = Coord::zero(nd);
                     for d in 0..nd {
                         c.set(d, pin[i][parent as usize].get(d) * 2 + v.get(d));
-                    }
-                    // inactive dims stay 0
-                    for &d in active.iter() {
-                        let _ = d;
                     }
                     pin_next[child as usize] = c;
                 }
@@ -728,9 +725,8 @@ impl RahtmMapper {
         stats.milp_secs += milp_secs;
         self.recorder.record_span_secs(spans::MILP, milp_secs);
 
-        // pin.last(): node coordinates (slice-relative) of every slice
-        // cluster (local ids). Wait: for active dims these are 0..side-1;
-        // inactive dims 0.
+        // pin.last(): slice-relative node coordinates of every slice
+        // cluster (local ids): 0..side-1 on active dims, 0 on inactive ones.
 
         // ---- Phase 3: bottom-up merge ----
         let t2 = Instant::now();

@@ -36,4 +36,4 @@ pub use incremental::IncrementalLoads;
 pub use load::ChannelLoads;
 pub use metrics::{mapping_hop_bytes, mapping_mcl, MappingEval};
 pub use oblivious::{route_flow, route_graph, Routing};
-pub use stencil::{RouteStencilCache, Stencil};
+pub use stencil::RouteStencilCache;

@@ -1,11 +1,20 @@
-//! Displacement-keyed routing stencils.
+//! Displacement-class routing stencils.
 //!
 //! A torus is vertex-transitive: the load footprint of a flow depends only
 //! on its displacement vector, never on where the source sits. The anneal
 //! and merge hot paths route the same handful of displacements thousands of
-//! times, so we memoize — per canonical displacement — the sparse list of
+//! times, so we memoize — per displacement class — the sparse list of
 //! `(relative offset, dim, dir, fraction)` load entries of a flow, and
 //! applying a flow becomes a translate-and-scatter sparse add.
+//!
+//! The classes of a topology are few and known up front, so the cache is a
+//! dense table indexed by class, not a map: per dimension the class digit
+//! is `(c_dst − c_src) mod k` on a wrapped dimension and
+//! `c_dst − c_src + k − 1` on a mesh one, and the routing model doubles the
+//! table. A lookup reads both endpoints' coordinates from a per-node table
+//! (no divisions), forms the index, and does one acquire load on the cell.
+//! A hit writes nothing another routing thread touches: cells are written
+//! once, and lookups are counted in per-thread padded slots.
 //!
 //! Determinism contract: a stencil is built by the *same* enumerator
 //! ([`oblivious::for_each_entry`]) that drives the direct
@@ -15,12 +24,9 @@
 //! therefore bit-identical to direct routing — same values, same
 //! floating-point add order — which the property tests pin down.
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-use parking_lot::RwLock;
 use rahtm_commgraph::CommGraph;
 use rahtm_topology::{NodeId, Torus, MAX_DIMS};
 
@@ -28,99 +34,16 @@ use crate::load::ChannelLoads;
 use crate::oblivious::{for_each_entry, num_variants};
 use crate::Routing;
 
-/// Number of independently locked cache shards. Displacement keys hash
-/// uniformly, so a small power of two keeps write contention negligible
-/// while reads (the overwhelming majority) take a shared lock.
-const SHARDS: usize = 16;
-
-/// FxHash-style multiply-rotate hasher. Stencil keys are tiny,
-/// attacker-free, and hashed on every rerouted flow in the anneal inner
-/// loop, where SipHash's per-lookup cost is measurable; a deterministic
-/// non-cryptographic hash is the right trade.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    #[inline]
-    fn push(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.push(u64::from(b));
-        }
-    }
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.push(u64::from(n));
-    }
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.push(u64::from(n));
-    }
-    #[inline]
-    fn write_i32(&mut self, n: i32) {
-        self.push(u64::from(n as u32));
-    }
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.push(n);
-    }
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.push(n as u64);
-    }
-}
-
-type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
-
-/// Canonical identity of a stencil: the per-dimension signed displacement,
-/// which dimensions are torus ties (split both ways), and the routing
-/// model. Two flows with equal keys have bit-identical footprints.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct StencilKey {
-    deltas: [i32; MAX_DIMS],
-    ties: u8,
-    dor: bool,
-}
-
-impl StencilKey {
-    fn new(routing: Routing, disp: &[(i32, bool)]) -> Self {
-        let mut deltas = [0i32; MAX_DIMS];
-        let mut ties = 0u8;
-        for (d, &(delta, tie)) in disp.iter().enumerate() {
-            deltas[d] = delta;
-            if tie {
-                ties |= 1 << d;
-            }
-        }
-        StencilKey {
-            deltas,
-            ties,
-            dor: matches!(routing, Routing::DimOrder),
-        }
-    }
-}
-
 /// The memoized sparse footprint of one displacement class.
 ///
 /// Entries are stored flattened in emission order: entry `i` has relative
 /// offsets `offsets[i*ndims..(i+1)*ndims]` (signed coordinate deltas from
 /// the source), channel sub-slot `subs[i]` (`2*dim + dir.index()`), and raw
 /// per-variant path fraction `fracs[i]`.
-pub struct Stencil {
+struct Stencil {
     /// Tie-orientation variants; a flow of `bytes` applies each entry with
     /// weight `bytes / variants`.
-    pub variants: u32,
-    ndims: usize,
+    variants: u32,
     offsets: Vec<i32>,
     subs: Vec<u32>,
     fracs: Vec<f64>,
@@ -130,8 +53,6 @@ impl Stencil {
     /// Builds the stencil for `disp` under `routing` by replaying the
     /// shared flow enumerator.
     fn build(routing: Routing, disp: &[(i32, bool)]) -> Self {
-        let ndims = disp.len();
-        let variants = num_variants(routing, disp);
         let mut offsets = Vec::new();
         let mut subs = Vec::new();
         let mut fracs = Vec::new();
@@ -140,79 +61,68 @@ impl Stencil {
             subs.push((2 * dim + dir.index()) as u32);
             fracs.push(frac);
         });
-        Stencil { variants, ndims, offsets, subs, fracs }
-    }
-
-    /// Number of sparse load entries.
-    pub fn len(&self) -> usize {
-        self.subs.len()
-    }
-
-    /// True when the stencil deposits no load (zero displacement).
-    pub fn is_empty(&self) -> bool {
-        self.subs.is_empty()
-    }
-
-    /// Visits each `(channel slot, load value)` of a `bytes`-sized flow
-    /// anchored at `src`, in exactly the order the direct router deposits
-    /// them.
-    ///
-    /// The channel slot is computed by integer translation: per dimension
-    /// `v = src[d] + off[d]` with a single conditional ±k wrap (valid
-    /// because offsets of a minimal path lie in `(-k, k)`), then
-    /// `node = Σ v_d · stride_d` and `slot = node·2n + sub`. Minimality
-    /// also guarantees the channel exists, so no per-entry validity check
-    /// is needed.
-    #[inline]
-    pub fn for_each_load(
-        &self,
-        topo: &Torus,
-        src: NodeId,
-        bytes: f64,
-        mut visit: impl FnMut(u32, f64),
-    ) {
-        let n = self.ndims;
-        let weight = bytes / self.variants as f64;
-        let src_coord = topo.coord(src);
-        let two_n = (2 * n) as u32;
-        for (i, (&sub, &frac)) in self.subs.iter().zip(&self.fracs).enumerate() {
-            let off = &self.offsets[i * n..(i + 1) * n];
-            let mut node = 0u32;
-            for d in 0..n {
-                let k = topo.dim(d) as i32;
-                let mut v = src_coord.get(d) as i32 + off[d];
-                if v < 0 {
-                    v += k;
-                } else if v >= k {
-                    v -= k;
-                }
-                node += v as u32 * topo.stride(d);
-            }
-            visit(node * two_n + sub, weight * frac);
+        Stencil {
+            variants: num_variants(routing, disp),
+            offsets,
+            subs,
+            fracs,
         }
     }
 }
 
-/// A sharded, read-mostly cache of [`Stencil`]s for one topology.
+/// One dimension of the cached topology.
+struct Axis {
+    k: i32,
+    wrap: bool,
+    /// Node-id stride of the dimension.
+    stride: u32,
+    /// Displacement classes along the dimension: `k` wrapped, `2k − 1` not.
+    classes: usize,
+}
+
+/// Lookup-counter slots per cache. Threads take slots round-robin in
+/// order of first use, so threads spawned together count on different
+/// cache lines; two threads that share a slot stay exact because the add
+/// is atomic.
+const COUNTER_SLOTS: usize = 16;
+
+/// A lookup counter alone on 128 bytes: its cache line plus the neighbour
+/// line that adjacent-line prefetchers pull in with it.
+#[derive(Default)]
+#[repr(align(128))]
+struct PaddedCounter(AtomicU64);
+
+static NEXT_COUNTER_SLOT: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static COUNTER_SLOT: usize =
+        NEXT_COUNTER_SLOT.fetch_add(1, Ordering::Relaxed) % COUNTER_SLOTS;
+}
+
+/// A dense, lazily filled, lock-free cache of stencils for one topology.
 ///
-/// Cloned handles are cheap (`Arc`); crossbeam worker threads share one
-/// cache and populate it concurrently. A miss is counted only by the
-/// thread that actually inserts the stencil (checked again under the write
-/// lock), so `misses == unique displacement classes` and
-/// `hits == lookups − misses` — both deterministic run to run regardless
-/// of thread interleaving.
+/// Worker threads share one cache (behind an `Arc`) and fill it
+/// concurrently: each cell is initialized exactly once, by the first
+/// thread to look it up, while concurrent lookups of that cell wait for
+/// it. A miss is counted inside that one-time initialization, so
+/// `misses == distinct displacement classes` and `hits == lookups −
+/// misses` — both deterministic run to run regardless of thread
+/// interleaving.
 pub struct RouteStencilCache {
-    dims: Vec<u16>,
-    wraps: Vec<bool>,
-    shards: Vec<RwLock<HashMap<StencilKey, Arc<Stencil>, FxBuildHasher>>>,
-    hits: AtomicU64,
+    axes: Vec<Axis>,
+    /// `coords[node * ndims + d]`: coordinate of `node` along dimension `d`.
+    coords: Vec<u16>,
+    /// One cell per (displacement class, routing model) pair:
+    /// `2 × Π(wrap ? k : 2k − 1)` cells.
+    cells: Vec<OnceLock<Box<Stencil>>>,
+    lookups: Vec<PaddedCounter>,
     misses: AtomicU64,
 }
 
 impl std::fmt::Debug for RouteStencilCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RouteStencilCache")
-            .field("dims", &self.dims)
+            .field("dims", &self.axes.iter().map(|a| a.k).collect::<Vec<_>>())
             .field("entries", &self.entries())
             .field("hits", &self.hits())
             .field("misses", &self.misses())
@@ -224,51 +134,64 @@ impl RouteStencilCache {
     /// An empty cache bound to `topo`'s shape (dims + wrap pattern).
     pub fn new(topo: &Torus) -> Self {
         let n = topo.ndims();
+        let axes: Vec<Axis> = (0..n)
+            .map(|d| {
+                let k = topo.dim(d) as usize;
+                let wrap = topo.wraps(d);
+                Axis {
+                    k: k as i32,
+                    wrap,
+                    stride: topo.stride(d),
+                    classes: if wrap { k } else { 2 * k - 1 },
+                }
+            })
+            .collect();
+        let coords = topo
+            .nodes()
+            .flat_map(|node| {
+                let c = topo.coord(node);
+                (0..n).map(move |d| c.get(d))
+            })
+            .collect();
+        let num_cells = 2 * axes.iter().map(|a| a.classes).product::<usize>();
         RouteStencilCache {
-            dims: (0..n).map(|d| topo.dim(d)).collect(),
-            wraps: (0..n).map(|d| topo.wraps(d)).collect(),
-            shards: (0..SHARDS)
-                .map(|_| RwLock::new(HashMap::default()))
+            axes,
+            coords,
+            cells: (0..num_cells).map(|_| OnceLock::new()).collect(),
+            lookups: (0..COUNTER_SLOTS)
+                .map(|_| PaddedCounter::default())
                 .collect(),
-            hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
     /// True when `topo` has the shape this cache was built for.
     pub fn matches(&self, topo: &Torus) -> bool {
-        self.dims.len() == topo.ndims()
-            && (0..topo.ndims()).all(|d| self.dims[d] == topo.dim(d) && self.wraps[d] == topo.wraps(d))
+        self.axes.len() == topo.ndims()
+            && self
+                .axes
+                .iter()
+                .enumerate()
+                .all(|(d, a)| a.k == i32::from(topo.dim(d)) && a.wrap == topo.wraps(d))
     }
 
-    fn shard_of(&self, key: &StencilKey) -> usize {
-        let mut h = FxHasher::default();
-        key.hash(&mut h);
-        h.finish() as usize % SHARDS
-    }
-
-    /// Fetches (or builds and inserts) the stencil for `disp`.
-    fn stencil(&self, routing: Routing, disp: &[(i32, bool)]) -> Arc<Stencil> {
-        let key = StencilKey::new(routing, disp);
-        let shard = &self.shards[self.shard_of(&key)];
-        if let Some(s) = shard.read().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(s);
-        }
-        let mut map = shard.write();
-        if let Some(s) = map.get(&key) {
-            // Another thread inserted while we waited: their miss, our hit.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(s);
-        }
-        let s = Arc::new(Stencil::build(routing, disp));
-        map.insert(key, Arc::clone(&s));
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        s
+    /// Coordinates of `node`, one per dimension.
+    #[inline]
+    fn coord(&self, node: NodeId) -> &[u16] {
+        let n = self.axes.len();
+        &self.coords[node as usize * n..][..n]
     }
 
     /// Visits each `(channel slot, load value)` of one flow, through the
-    /// cache. `src == dst` and zero-byte flows visit nothing.
+    /// cache, in exactly the order the direct router deposits them.
+    /// `src == dst` and zero-byte flows visit nothing.
+    ///
+    /// The channel slot is computed by integer translation: per dimension
+    /// `v = src[d] + off[d]` with a single conditional ±k wrap (valid
+    /// because offsets of a minimal path lie in `(-k, k)`), then
+    /// `node = Σ v_d · stride_d` and `slot = node·2n + sub`. Minimality
+    /// also guarantees the channel exists, so no per-entry validity check
+    /// is needed.
     #[inline]
     pub fn for_each_load(
         &self,
@@ -277,16 +200,54 @@ impl RouteStencilCache {
         src: NodeId,
         dst: NodeId,
         bytes: f64,
-        visit: impl FnMut(u32, f64),
+        mut visit: impl FnMut(u32, f64),
     ) {
-        debug_assert!(self.matches(topo), "stencil cache bound to a different topology");
+        debug_assert!(
+            self.matches(topo),
+            "stencil cache bound to a different topology"
+        );
         if src == dst || bytes == 0.0 {
             return;
         }
-        let mut buf = [(0i32, false); MAX_DIMS];
-        let n = topo.displacement_into(src, dst, &mut buf);
-        let stencil = self.stencil(routing, &buf[..n]);
-        stencil.for_each_load(topo, src, bytes, visit);
+        let src_coord = self.coord(src);
+        let mut class = 0usize;
+        for ((a, &s), &t) in self.axes.iter().zip(src_coord).zip(self.coord(dst)) {
+            let raw = i32::from(t) - i32::from(s);
+            let digit = match (a.wrap, raw < 0) {
+                (true, true) => raw + a.k,
+                (true, false) => raw,
+                (false, _) => raw + a.k - 1,
+            };
+            class = class * a.classes + digit as usize;
+        }
+        let cell = &self.cells[2 * class + usize::from(routing == Routing::DimOrder)];
+        self.lookups[COUNTER_SLOT.with(|&slot| slot)]
+            .0
+            .fetch_add(1, Ordering::Relaxed);
+        let stencil = cell.get_or_init(|| {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            let mut disp = [(0i32, false); MAX_DIMS];
+            let n = topo.displacement_into(src, dst, &mut disp);
+            Box::new(Stencil::build(routing, &disp[..n]))
+        });
+
+        let n = self.axes.len();
+        let two_n = (2 * n) as u32;
+        let weight = bytes / stencil.variants as f64;
+        let entries = stencil.subs.iter().zip(&stencil.fracs);
+        for ((&sub, &frac), off) in entries.zip(stencil.offsets.chunks_exact(n)) {
+            let mut node = 0u32;
+            for ((a, &s), &o) in self.axes.iter().zip(src_coord).zip(off) {
+                let mut v = i32::from(s) + o;
+                if v < 0 {
+                    v += a.k;
+                } else if v >= a.k {
+                    v -= a.k;
+                }
+                node += v as u32 * a.stride;
+            }
+            visit(node * two_n + sub, weight * frac);
+        }
     }
 
     /// Cache-accelerated drop-in for [`crate::route_flow`]: bit-identical
@@ -326,8 +287,16 @@ impl RouteStencilCache {
     }
 
     /// Lookups answered from the cache.
+    ///
+    /// Exact once the routing threads are joined. A read racing them may
+    /// see a miss whose lookup it did not sum, hence the saturation.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        let lookups: u64 = self
+            .lookups
+            .iter()
+            .map(|c| c.0.load(Ordering::Relaxed))
+            .sum();
+        lookups.saturating_sub(self.misses())
     }
 
     /// Lookups that built a new stencil (== distinct displacement classes).
@@ -335,9 +304,9 @@ impl RouteStencilCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Stencils currently resident across all shards.
+    /// Stencils currently resident (filled cells).
     pub fn entries(&self) -> u64 {
-        self.shards.iter().map(|s| s.read().len() as u64).sum()
+        self.cells.iter().filter(|c| c.get().is_some()).count() as u64
     }
 
     /// Publishes hit/miss/entry counters to `rec`.
@@ -354,6 +323,8 @@ mod tests {
     use crate::oblivious::{route_flow, route_graph};
     use proptest::prelude::*;
     use rahtm_commgraph::patterns;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn assert_bit_identical(topo: &Torus, routing: Routing, src: NodeId, dst: NodeId, bytes: f64) {
         let cache = RouteStencilCache::new(topo);
@@ -418,6 +389,177 @@ mod tests {
         cache.route_flow(&t, Routing::UniformMinimal, 0, 3, 1.0, &mut loads);
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.entries(), 2);
+    }
+
+    #[test]
+    fn table_size_follows_the_class_rule() {
+        // 2 × Π(wrap ? k : 2k − 1): wrapped 4s, a 2-extent dim that the
+        // topology models as a double-wide mesh dim, and a 1-extent dim
+        let t = Torus::torus(&[4, 4, 4, 4, 2]);
+        assert_eq!(
+            RouteStencilCache::new(&t).cells.len(),
+            2 * 4 * 4 * 4 * 4 * 3
+        );
+        let t = Torus::with_wraps(&[5, 3, 1], &[true, false, false]);
+        assert_eq!(RouteStencilCache::new(&t).cells.len(), 2 * 5 * 5);
+    }
+
+    #[test]
+    fn long_haul_cached_matches_direct() {
+        // paths of length ≥ 257 take the Stirling tail of ln_factorial
+        let ring = Torus::torus(&[600]);
+        assert_bit_identical(&ring, Routing::UniformMinimal, 0, 300, 4.0);
+        assert_bit_identical(&ring, Routing::DimOrder, 599, 299, 4.0);
+        let m = Torus::mesh(&[300, 4]);
+        assert_bit_identical(&m, Routing::UniformMinimal, 0, m.num_nodes() - 1, 1.0);
+        assert_bit_identical(&m, Routing::UniformMinimal, m.num_nodes() - 1, 0, 1.0);
+    }
+
+    /// Routes `flows` through `cache` and directly, in order, into one
+    /// accumulator each, and asserts the loads are bit-identical.
+    fn assert_flows_bit_identical(
+        t: &Torus,
+        cache: &RouteStencilCache,
+        routing: Routing,
+        flows: &[(NodeId, NodeId, f64)],
+    ) {
+        let mut direct = ChannelLoads::new(t);
+        let mut cached = ChannelLoads::new(t);
+        for &(src, dst, bytes) in flows {
+            route_flow(t, routing, src, dst, bytes, &mut direct);
+            cache.route_flow(t, routing, src, dst, bytes, &mut cached);
+        }
+        let bits = |l: &ChannelLoads| l.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&direct),
+            bits(&cached),
+            "{routing:?} on {:?}",
+            t.dims()
+        );
+    }
+
+    #[test]
+    fn mira_shape_bit_identical() {
+        // BG/Q Mira's 4×4×4×4×2 partition: every tie pattern of the four
+        // 4-ary rings appears among the displacements from one source.
+        let t = Torus::torus(&[4, 4, 4, 4, 2]);
+        let cache = RouteStencilCache::new(&t);
+        let last = t.num_nodes() - 1;
+        let flows: Vec<(NodeId, NodeId, f64)> = [0, 171, last]
+            .into_iter()
+            .flat_map(|src| {
+                t.nodes()
+                    .map(move |dst| (src, dst, 1.0 + f64::from(dst % 7)))
+            })
+            .collect();
+        for routing in [Routing::DimOrder, Routing::UniformMinimal] {
+            // cold (building) and warm (hitting) passes
+            assert_flows_bit_identical(&t, &cache, routing, &flows);
+            assert_flows_bit_identical(&t, &cache, routing, &flows);
+        }
+        // the 2-extent dim is a mesh dim: three classes (−1, 0, +1) along it
+        assert_eq!(cache.misses(), 2 * (4 * 4 * 4 * 4 * 3 - 1));
+    }
+
+    #[test]
+    fn edge_extents_bit_identical_on_all_pairs() {
+        // size-1 and size-2 dims (wrapped or not), a tying 4-ring and 6-ring
+        // and an odd mesh dim, every source to every destination
+        let shapes = [
+            Torus::with_wraps(&[2, 1, 4, 3], &[true, true, true, false]),
+            Torus::with_wraps(&[6, 2, 1], &[true, false, false]),
+        ];
+        for t in &shapes {
+            let cache = RouteStencilCache::new(t);
+            let flows: Vec<(NodeId, NodeId, f64)> = t
+                .nodes()
+                .flat_map(|src| {
+                    t.nodes()
+                        .map(move |dst| (src, dst, 0.5 + f64::from(src ^ dst)))
+                })
+                .collect();
+            for routing in [Routing::DimOrder, Routing::UniformMinimal] {
+                assert_flows_bit_identical(t, &cache, routing, &flows);
+                assert_flows_bit_identical(t, &cache, routing, &flows);
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_lookups_keep_exact_counters() {
+        // Several threads route one flow list through one shared cache at
+        // the same time. Whichever thread initializes a cell, misses must
+        // equal the distinct classes and hits + misses the lookups.
+        let t = Torus::torus(&[4, 4, 4, 2]);
+        let g = patterns::random(t.num_nodes(), 600, 1.0, 9.0, 5);
+        let flows: Vec<(NodeId, NodeId, f64)> =
+            g.flows().iter().map(|f| (f.src, f.dst, f.bytes)).collect();
+        let routings = [Routing::UniformMinimal, Routing::DimOrder];
+        let mut classes = std::collections::HashSet::new();
+        let mut lookups_per_thread = 0u64;
+        for routing in routings {
+            for &(src, dst, _) in flows.iter().filter(|&&(s, d, _)| s != d) {
+                classes.insert((t.displacement(src, dst), routing == Routing::DimOrder));
+                lookups_per_thread += 1;
+            }
+        }
+        const THREADS: u64 = 4;
+        for _ in 0..20 {
+            let cache = RouteStencilCache::new(&t);
+            let barrier = std::sync::Barrier::new(THREADS as usize);
+            let loads: Vec<ChannelLoads> = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            let mut loads = ChannelLoads::new(&t);
+                            for routing in routings {
+                                for &(src, dst, bytes) in &flows {
+                                    cache.route_flow(&t, routing, src, dst, bytes, &mut loads);
+                                }
+                            }
+                            loads
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).collect()
+            });
+            assert!(loads.windows(2).all(|w| w[0] == w[1]));
+            assert_eq!(cache.misses(), classes.len() as u64);
+            assert_eq!(cache.entries(), classes.len() as u64);
+            assert_eq!(cache.hits() + cache.misses(), THREADS * lookups_per_thread);
+        }
+    }
+
+    /// A random mixed topology: 1–5 dimensions of extent 1–6, each wrapped
+    /// or not (wrapped extents ≤ 2 become double-wide mesh dimensions).
+    fn random_shape(rng: &mut StdRng) -> Torus {
+        let n = rng.gen_range(1..6);
+        let dims: Vec<u16> = (0..n).map(|_| rng.gen_range(1..7)).collect();
+        let wraps: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
+        Torus::with_wraps(&dims, &wraps)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Differential: on random shapes, a random flow list routed
+        /// through the cache (cold, then warm) accumulates exactly the
+        /// loads the direct router does, under both routing models.
+        #[test]
+        fn cached_matches_direct_on_random_shapes(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let t = random_shape(&mut rng);
+            let nodes = t.num_nodes();
+            let flows: Vec<(NodeId, NodeId, f64)> = (0..rng.gen_range(1..40))
+                .map(|_| (rng.gen_range(0..nodes), rng.gen_range(0..nodes), rng.gen_range(0.1..50.0)))
+                .collect();
+            let cache = RouteStencilCache::new(&t);
+            for routing in [Routing::DimOrder, Routing::UniformMinimal] {
+                assert_flows_bit_identical(&t, &cache, routing, &flows);
+                assert_flows_bit_identical(&t, &cache, routing, &flows);
+            }
+        }
     }
 
     proptest! {
