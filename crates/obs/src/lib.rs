@@ -42,7 +42,9 @@ pub mod counters {
     pub const ANNEAL_ACCEPTED: &str = "anneal.moves_accepted";
     /// Simulated-annealing proposals rejected.
     pub const ANNEAL_REJECTED: &str = "anneal.moves_rejected";
-    /// Orientation candidates scored by the merge beam search.
+    /// Orientation candidates ranked by the merge beam search (first-pair
+    /// candidates count whether routed or scored through their orbit
+    /// representative).
     pub const MERGE_CANDIDATES_EVALUATED: &str = "merge.candidates_evaluated";
     /// Candidates surviving beam truncation (beam entries carried forward).
     pub const MERGE_CANDIDATES_KEPT: &str = "merge.candidates_kept";
@@ -86,6 +88,9 @@ pub mod counters {
     pub const MILP_INCUMBENT_UPDATES: &str = "milp.incumbent_updates";
     /// Placement columns fixed to zero by hypercube symmetry breaking.
     pub const MILP_SYMMETRY_PRUNED: &str = "milp.symmetry_pruned";
+    /// Ranked first-pair merge candidates whose score came from their
+    /// reflection-orbit representative instead of their own routing.
+    pub const MERGE_SYMMETRY_SKIPPED: &str = "merge.symmetry_skipped";
 }
 
 /// Canonical span names (`.` separates hierarchy levels; a `sideN` /

@@ -3,11 +3,18 @@
 //! Solved child blocks are absorbed one at a time, in decreasing order of
 //! pairwise interaction (average pair MCL), trying every hyperoctahedral
 //! re-orientation of the incoming block against each of the best `N`
-//! partial merges retained so far. The first pair is special: both blocks'
-//! orientations are searched exhaustively, exactly as in the paper's
+//! partial merges retained so far. The first pair is special: every
+//! combination of both blocks' orientations is ranked, as in the paper's
 //! walkthrough (Figure 7). `N` (the beam width) is the paper's key knob —
 //! it fixes `N = 64`; `N = 1` degenerates to the pure greedy the paper
 //! argues against, and the ablation bench sweeps it.
+//!
+//! The first-pair ranking routes only one candidate per orbit of the
+//! torus reflections that fix both boxes: such a reflection maps a
+//! candidate to its mirror image, whose MCL is the same bit for bit under
+//! uniform-minimal routing. Every candidate is still ranked with its
+//! orbit's score, so the beam is exactly the exhaustive one (DESIGN.md
+//! §12).
 //!
 //! Evaluation is incremental: each beam entry carries its accumulated
 //! channel loads; a candidate's MCL is computed by routing only the flows
@@ -18,11 +25,12 @@
 //! `O(incident flows × path box + channels)`.
 
 use crate::block::Block;
-use rahtm_commgraph::{CommGraph, Rank};
+use rahtm_commgraph::{CommGraph, Flow, Rank};
 use rahtm_lp::Deadline;
 use rahtm_obs::{counters, Recorder};
 use rahtm_routing::{ChannelLoads, RouteStencilCache, Routing};
 use rahtm_topology::{ChannelId, Coord, NodeId, Orientation, Torus};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 const UNPLACED: NodeId = NodeId::MAX;
@@ -94,11 +102,14 @@ pub struct MergeResult {
     pub block: Block,
     /// MCL of the parent's internal traffic under the chosen orientations.
     pub mcl: f64,
-    /// Orientation candidates evaluated.
+    /// Orientation candidates ranked.
     pub candidates_evaluated: usize,
     /// Candidates surviving beam truncation across all steps (the beam
     /// entries actually carried forward).
     pub candidates_kept: usize,
+    /// First-pair candidates scored through their reflection-orbit
+    /// representative instead of being routed themselves.
+    pub symmetry_skipped: usize,
     /// Whether the wall-clock deadline cut the orientation search short
     /// (unsearched children were composed with identity orientation).
     pub deadline_hit: bool,
@@ -113,6 +124,21 @@ struct BeamEntry {
 
 const UNSET: usize = usize::MAX;
 
+/// A ranked candidate: `(mcl, first index, second index)`. The indices are
+/// the two children's orientations for the first pair, and the beam entry
+/// and incoming orientation for later steps.
+type Ranked = (f64, usize, usize);
+
+/// Sorts candidates by MCL, ties broken by index, so the ranking does not
+/// depend on the order the workers returned them in.
+fn sort_ranked(ranked: &mut [Ranked]) {
+    ranked.sort_by(|x, y| {
+        x.0.total_cmp(&y.0)
+            .then(x.1.cmp(&y.1))
+            .then(x.2.cmp(&y.2))
+    });
+}
+
 /// Merges positioned child blocks inside the parent region
 /// `[parent_origin, parent_origin + parent_extent)`, searching child
 /// orientations by beam search and scoring with `graph`'s flows routed on
@@ -124,6 +150,20 @@ pub fn merge_blocks(
     parent_origin: &Coord,
     parent_extent: &Coord,
     opts: &MergeOptions,
+) -> MergeResult {
+    merge_with(topo, graph, children, parent_origin, parent_extent, opts, rank_first_pair)
+}
+
+/// [`merge_blocks`] with the first-pair ranking supplied by the caller
+/// (the tests pass an exhaustive reference).
+fn merge_with(
+    topo: &Torus,
+    graph: &CommGraph,
+    children: &[PositionedBlock],
+    parent_origin: &Coord,
+    parent_extent: &Coord,
+    opts: &MergeOptions,
+    rank_first: impl Fn(&FirstPair<'_>) -> (Vec<Ranked>, usize),
 ) -> MergeResult {
     assert!(!children.is_empty());
     let local_cache;
@@ -160,6 +200,7 @@ pub fn merge_blocks(
             mcl,
             candidates_evaluated: 0,
             candidates_kept: 0,
+            symmetry_skipped: 0,
             deadline_hit: expired_on_entry,
         };
     }
@@ -237,7 +278,7 @@ pub fn merge_blocks(
     // beam donate their allocation back instead of dropping it.
     let mut pool: Vec<ChannelLoads> = Vec::new();
 
-    // --- First pair: exhaustive over both orientation sets. ---
+    // --- First pair: every orientation pair, one routed score per orbit. ---
     let (a, b) = (order[0], order[1]);
     let pair_flows: Vec<&(Rank, Rank, f64)> = local_flows
         .iter()
@@ -247,73 +288,27 @@ pub fn merge_blocks(
         })
         .collect();
     let mut beam: Vec<BeamEntry> = Vec::new();
+    let symmetry_skipped;
     {
-        // Exhaustive orientation pairs are embarrassingly parallel: chunk
-        // the outer orientations across crossbeam scoped threads (each
-        // with its own scratch accumulator), then sort deterministically.
-        let oa_count = orient_sets[a].len();
-        let n_threads = num_worker_threads(oa_count, opts.thread_cap);
-        let chunk = oa_count.div_ceil(n_threads);
-        let mut ranked: Vec<(f64, usize, usize)> = crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..n_threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(oa_count);
-                let positions = &positions;
-                let pair_flows = &pair_flows;
-                let chans = &chans;
-                let orient_sets = &orient_sets;
-                handles.push(scope.spawn(move |_| {
-                    let mut node_of = vec![UNPLACED; nclusters];
-                    let mut scratch = ChannelLoads::new(topo);
-                    let mut out = Vec::with_capacity((hi - lo) * orient_sets[b].len());
-                    for oa in lo..hi {
-                        for ob in 0..orient_sets[b].len() {
-                            for &(m, nd) in positions[a][oa].iter().chain(&positions[b][ob]) {
-                                node_of[m as usize] = nd;
-                            }
-                            scratch.clear();
-                            for &&(s, d, bytes) in pair_flows {
-                                stencils.route_flow(
-                                    topo,
-                                    opts.routing,
-                                    node_of[s as usize],
-                                    node_of[d as usize],
-                                    bytes,
-                                    &mut scratch,
-                                );
-                            }
-                            let mut mcl = 0.0f64;
-                            for &(id, w) in chans {
-                                let v = scratch.get(id) / w;
-                                if v > mcl {
-                                    mcl = v;
-                                }
-                            }
-                            out.push((mcl, oa, ob));
-                            for &(m, _) in positions[a][oa].iter().chain(&positions[b][ob]) {
-                                node_of[m as usize] = UNPLACED;
-                            }
-                        }
-                    }
-                    out
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| {
-                    h.join()
-                        .unwrap_or_else(|p| std::panic::resume_unwind(p))
-                })
-                .collect()
-        })
-        .unwrap_or_else(|p| std::panic::resume_unwind(p));
+        let first = FirstPair {
+            topo,
+            stencils,
+            routing: opts.routing,
+            nclusters,
+            chans: &chans,
+            placements: [&positions[a], &positions[b]],
+            flows: &pair_flows,
+            reflections: pair_reflections(
+                topo,
+                opts.routing,
+                [&children[a], &children[b]],
+                [&orient_sets[a], &orient_sets[b]],
+            ),
+            thread_cap: opts.thread_cap,
+        };
+        let (mut ranked, skipped) = rank_first(&first);
+        symmetry_skipped = skipped;
         candidates_evaluated += ranked.len();
-        ranked.sort_by(|x, y| {
-            x.0.total_cmp(&y.0)
-                .then(x.1.cmp(&y.1))
-                .then(x.2.cmp(&y.2))
-        });
         ranked.truncate(opts.beam_width.max(1));
         for (_, oa, ob) in ranked {
             let mut loads = match pool.pop() {
@@ -381,7 +376,7 @@ pub fn merge_blocks(
         // accumulator and a positions array), deterministic sort after.
         let n_threads = num_worker_threads(beam.len(), opts.thread_cap);
         let chunk = beam.len().div_ceil(n_threads);
-        let mut ranked: Vec<(f64, usize, usize)> = crossbeam::thread::scope(|scope| {
+        let mut ranked: Vec<Ranked> = crossbeam::thread::scope(|scope| {
             let mut handles = Vec::new();
             for t in 0..n_threads {
                 let lo = t * chunk;
@@ -454,11 +449,7 @@ pub fn merge_blocks(
         })
         .unwrap_or_else(|p| std::panic::resume_unwind(p));
         candidates_evaluated += ranked.len();
-        ranked.sort_by(|x, y| {
-            x.0.total_cmp(&y.0)
-                .then(x.1.cmp(&y.1))
-                .then(x.2.cmp(&y.2))
-        });
+        sort_ranked(&mut ranked);
         ranked.truncate(opts.beam_width.max(1));
         let mut new_beam = Vec::with_capacity(ranked.len());
         for (_, ei, oi) in ranked {
@@ -547,6 +538,8 @@ pub fn merge_blocks(
         .add(counters::MERGE_CANDIDATES_EVALUATED, candidates_evaluated as u64);
     opts.recorder
         .add(counters::MERGE_CANDIDATES_KEPT, candidates_kept as u64);
+    opts.recorder
+        .add(counters::MERGE_SYMMETRY_SKIPPED, symmetry_skipped as u64);
     opts.recorder.add(counters::DEADLINE_CHECKS, deadline_polls as u64);
     if deadline_hit {
         opts.recorder.incr(counters::DEGRADE_IDENTITY_MERGES);
@@ -556,6 +549,7 @@ pub fn merge_blocks(
         mcl,
         candidates_evaluated,
         candidates_kept,
+        symmetry_skipped,
         deadline_hit,
     }
 }
@@ -565,6 +559,174 @@ pub fn merge_blocks(
 /// with concurrent slice workers and MILP branch-and-bound threads.
 fn num_worker_threads(items: usize, cap: usize) -> usize {
     crate::cores::workers_for(items, cap)
+}
+
+/// The first pair's search space: both children's member nodes under each
+/// of their orientations, and the flows among their members.
+struct FirstPair<'a> {
+    topo: &'a Torus,
+    stencils: &'a RouteStencilCache,
+    routing: Routing,
+    nclusters: usize,
+    chans: &'a [(ChannelId, f64)],
+    /// `placements[i][o]`: member nodes of pair child `i` under orientation `o`.
+    placements: [&'a [Vec<(Rank, NodeId)>]; 2],
+    flows: &'a [&'a (Rank, Rank, f64)],
+    /// Non-identity symmetries of the candidate set (see [`pair_reflections`]).
+    reflections: Vec<[Vec<usize>; 2]>,
+    thread_cap: usize,
+}
+
+impl FirstPair<'_> {
+    /// MCL of the pair's flows with the children oriented `oa` and `ob`.
+    /// `node_of` must come back as it went in: all `UNPLACED`.
+    fn score(
+        &self,
+        oa: usize,
+        ob: usize,
+        node_of: &mut [NodeId],
+        scratch: &mut ChannelLoads,
+    ) -> f64 {
+        let [pa, pb] = self.placements;
+        for &(m, nd) in pa[oa].iter().chain(&pb[ob]) {
+            node_of[m as usize] = nd;
+        }
+        scratch.clear();
+        for &&(s, d, bytes) in self.flows {
+            self.stencils.route_flow(
+                self.topo,
+                self.routing,
+                node_of[s as usize],
+                node_of[d as usize],
+                bytes,
+                scratch,
+            );
+        }
+        let mut mcl = 0.0f64;
+        for &(id, w) in self.chans {
+            let v = scratch.get(id) / w;
+            if v > mcl {
+                mcl = v;
+            }
+        }
+        for &(m, _) in pa[oa].iter().chain(&pb[ob]) {
+            node_of[m as usize] = UNPLACED;
+        }
+        mcl
+    }
+}
+
+/// Ranks every first-pair candidate `(mcl, oa, ob)`, routing only one
+/// representative per reflection orbit: every member of an orbit has the
+/// same MCL bit for bit (DESIGN.md §12). Returns the sorted ranking and
+/// the number of candidates scored through their representative.
+fn rank_first_pair(fp: &FirstPair<'_>) -> (Vec<Ranked>, usize) {
+    let nb = fp.placements[1].len();
+    let total = fp.placements[0].len() * nb;
+    // An orbit's representative is its least candidate index, so it is
+    // met before the rest of its orbit.
+    let mut reps: Vec<usize> = Vec::new();
+    let mut slot = vec![0usize; total]; // candidate -> its orbit's index in `reps`
+    for i in 0..total {
+        let (oa, ob) = (i / nb, i % nb);
+        let rep = fp
+            .reflections
+            .iter()
+            .fold(i, |r, [ga, gb]| r.min(ga[oa] * nb + gb[ob]));
+        slot[i] = if rep == i {
+            reps.push(i);
+            reps.len() - 1
+        } else {
+            slot[rep]
+        };
+    }
+    // Representatives are embarrassingly parallel: chunk them across
+    // crossbeam scoped threads, each with its own scratch accumulator.
+    let chunk = reps.len().div_ceil(num_worker_threads(reps.len(), fp.thread_cap));
+    let scores: Vec<f64> = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = reps
+            .chunks(chunk)
+            .map(|part| {
+                scope.spawn(move |_| {
+                    let mut node_of = vec![UNPLACED; fp.nclusters];
+                    let mut scratch = ChannelLoads::new(fp.topo);
+                    part.iter()
+                        .map(|&i| fp.score(i / nb, i % nb, &mut node_of, &mut scratch))
+                        .collect::<Vec<f64>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| {
+                h.join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p))
+            })
+            .collect()
+    })
+    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+    let mut ranked: Vec<Ranked> = slot
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| (scores[s], i / nb, i % nb))
+        .collect();
+    sort_ranked(&mut ranked);
+    (ranked, total - reps.len())
+}
+
+/// The non-identity global reflections that map both first-pair boxes onto
+/// themselves, each as its action `[on a's, on b's]` orientation indices.
+///
+/// Reflecting dimension `d` is `x ↦ (c − x) mod k` with `c = 2·origin +
+/// extent − 1` for both boxes; a wrapped dimension allows any `c`, a mesh
+/// one (extent-2 dimensions included) only `c = k − 1`. On a box it
+/// mirrors the placed block, that is it toggles an orientation flip bit,
+/// so reflections that lead out of either orientation set (proper
+/// rotations only, flips-only large blocks) are dropped. DOR sends ties
+/// the `+` way, so its loads are not mirror-symmetric and it gets none.
+fn pair_reflections(
+    topo: &Torus,
+    routing: Routing,
+    pair: [&PositionedBlock; 2],
+    sets: [&[Orientation]; 2],
+) -> Vec<[Vec<usize>; 2]> {
+    if routing != Routing::UniformMinimal {
+        return Vec::new();
+    }
+    let centre = |p: &PositionedBlock, d: usize| {
+        2 * u32::from(p.origin.get(d)) + u32::from(p.block.extent.get(d)) - 1
+    };
+    let dims: Vec<usize> = (0..topo.ndims())
+        .filter(|&d| {
+            let k = u32::from(topo.dim(d));
+            let [ca, cb] = pair.map(|p| centre(p, d));
+            let fixes_both = if topo.wraps(d) {
+                ca % k == cb % k
+            } else {
+                ca == k - 1 && cb == k - 1
+            };
+            // a dimension both blocks are flat along moves nothing
+            fixes_both && pair.iter().any(|p| p.block.extent.get(d) > 1)
+        })
+        .collect();
+    let index: [HashMap<Orientation, usize>; 2] =
+        sets.map(|set| set.iter().enumerate().map(|(i, &o)| (o, i)).collect());
+    // the action of reflection subset `sub` of `dims` on child `c`, if it
+    // stays inside the child's orientation set
+    let act = |sub: u32, c: usize| -> Option<Vec<usize>> {
+        let mask = dims
+            .iter()
+            .enumerate()
+            .filter(|&(bit, &d)| (sub >> bit) & 1 == 1 && pair[c].block.extent.get(d) > 1)
+            .fold(0u8, |m, (_, &d)| m | (1 << d));
+        sets[c]
+            .iter()
+            .map(|o| index[c].get(&o.with_flips_toggled(mask)).copied())
+            .collect()
+    };
+    (1..1u32 << dims.len())
+        .filter_map(|sub| Some([act(sub, 0)?, act(sub, 1)?]))
+        .collect()
 }
 
 /// MCL of a block's internal traffic at a given origin.
@@ -614,24 +776,30 @@ fn merge_order(
             node_at[m as usize] = topo.node_id(&g);
         }
     }
+    // one pass buckets the flows between two children by unordered child
+    // pair, keeping flow order, so each pair's loads add up as if its
+    // flows were filtered from the whole graph
+    let mut cross: Vec<Vec<&Flow>> = vec![Vec::new(); k * k];
+    for f in graph.flows() {
+        let (cs, cd) = (child_of[f.src as usize], child_of[f.dst as usize]);
+        if cs != UNSET && cd != UNSET && cs != cd {
+            cross[cs.min(cd) * k + cs.max(cd)].push(f);
+        }
+    }
     let mut avg = vec![0.0f64; k];
     let mut loads = ChannelLoads::new(topo);
     for i in 0..k {
         for j in i + 1..k {
             loads.clear();
-            for f in graph.flows() {
-                let (cs, cd) = (child_of[f.src as usize], child_of[f.dst as usize]);
-                let cross = (cs == i && cd == j) || (cs == j && cd == i);
-                if cross {
-                    stencils.route_flow(
-                        topo,
-                        routing,
-                        node_at[f.src as usize],
-                        node_at[f.dst as usize],
-                        f.bytes,
-                        &mut loads,
-                    );
-                }
+            for f in &cross[i * k + j] {
+                stencils.route_flow(
+                    topo,
+                    routing,
+                    node_at[f.src as usize],
+                    node_at[f.dst as usize],
+                    f.bytes,
+                    &mut loads,
+                );
             }
             let m = loads.mcl(topo);
             avg[i] += m;
@@ -1028,6 +1196,213 @@ mod tests {
             assert_eq!(shared.misses(), shared.entries());
             assert!(shared.hits() > shared.misses());
         }
+    }
+
+    /// Scores every first-pair candidate by routing it: the search the
+    /// orbit quotient must reproduce bit for bit.
+    fn exhaustive_first_pair(fp: &FirstPair<'_>) -> (Vec<Ranked>, usize) {
+        let mut node_of = vec![UNPLACED; fp.nclusters];
+        let mut scratch = ChannelLoads::new(fp.topo);
+        let mut ranked = Vec::new();
+        for oa in 0..fp.placements[0].len() {
+            for ob in 0..fp.placements[1].len() {
+                ranked.push((fp.score(oa, ob, &mut node_of, &mut scratch), oa, ob));
+            }
+        }
+        sort_ranked(&mut ranked);
+        (ranked, 0)
+    }
+
+    /// A merge problem: children tiling a parent box on some machine.
+    struct Case {
+        topo: Torus,
+        graph: CommGraph,
+        children: Vec<PositionedBlock>,
+        parent_origin: Coord,
+        parent_extent: Coord,
+    }
+
+    impl Case {
+        /// Merges with `rank` ranking the first pair; also returns that
+        /// ranking (empty when the merge never searched).
+        fn merge(
+            &self,
+            opts: &MergeOptions,
+            rank: fn(&FirstPair<'_>) -> (Vec<Ranked>, usize),
+        ) -> (MergeResult, Vec<Ranked>) {
+            let seen = std::cell::RefCell::new(Vec::new());
+            let r = merge_with(
+                &self.topo,
+                &self.graph,
+                &self.children,
+                &self.parent_origin,
+                &self.parent_extent,
+                opts,
+                |fp| {
+                    let out = rank(fp);
+                    *seen.borrow_mut() = out.0.clone();
+                    out
+                },
+            );
+            (r, seen.into_inner())
+        }
+
+        /// Asserts the quotient search returns exactly what the exhaustive
+        /// one does; returns the quotient's skipped count.
+        fn assert_quotient_exact(&self, opts: &MergeOptions) -> usize {
+            let (fast, fast_ranked) = self.merge(opts, rank_first_pair);
+            let (slow, slow_ranked) = self.merge(opts, exhaustive_first_pair);
+            let bits = |r: &[Ranked]| -> Vec<(u64, usize, usize)> {
+                r.iter().map(|&(m, x, y)| (m.to_bits(), x, y)).collect()
+            };
+            assert_eq!(bits(&fast_ranked), bits(&slow_ranked), "first-pair ranking");
+            assert_eq!(fast.block.members, slow.block.members);
+            assert_eq!(fast.mcl.to_bits(), slow.mcl.to_bits());
+            assert_eq!(fast.candidates_evaluated, slow.candidates_evaluated);
+            assert_eq!(fast.candidates_kept, slow.candidates_kept);
+            assert_eq!(slow.symmetry_skipped, 0);
+            fast.symmetry_skipped
+        }
+    }
+
+    /// A random case: 1–5 dimensions of extent 1–4, each wrapped or not
+    /// (extent-2 wraps become meshes), children of extent 1–4 tiling a
+    /// parent box at a random origin, members shuffled. At most three
+    /// dimensions are non-flat and at most eight children, so the
+    /// exhaustive reference stays cheap.
+    fn random_case(seed: u64) -> Case {
+        use rand::seq::SliceRandom;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        // redraw until there are at least two children to merge
+        let (n, dims, wraps, extent, tiles, origin, children) = loop {
+            let n = rng.gen_range(1..6);
+            let (mut dims, mut wraps) = (Vec::new(), Vec::new());
+            let (mut extent, mut tiles, mut origin) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut non_flat, mut children) = (0, 1);
+            for _ in 0..n {
+                let k: u16 = rng.gen_range(1..5);
+                let e: u16 = if non_flat < 3 { rng.gen_range(1..k + 1) } else { 1 };
+                non_flat += usize::from(e > 1);
+                let m: u16 = if 2 * e <= k && children < 8 && rng.gen_bool(0.7) { 2 } else { 1 };
+                children *= usize::from(m);
+                dims.push(k);
+                wraps.push(rng.gen_bool(0.5));
+                extent.push(e);
+                tiles.push(m);
+                origin.push(rng.gen_range(0..k - e * m + 1));
+            }
+            if children >= 2 {
+                break (n, dims, wraps, extent, tiles, origin, children);
+            }
+        };
+        let extent = Coord::new(&extent);
+        let cells: usize = extent.iter().map(usize::from).product();
+        let mut ids: Vec<Rank> = (0..(children * cells) as Rank).collect();
+        ids.shuffle(&mut rng);
+        let ids_per_child = ids.chunks(cells);
+        let children: Vec<PositionedBlock> = ids_per_child
+            .enumerate()
+            .map(|(ci, ids)| {
+                let (mut child_origin, mut rest) = (Coord::new(&origin), ci);
+                for d in 0..n {
+                    let t = (rest % usize::from(tiles[d])) as u16;
+                    rest /= usize::from(tiles[d]);
+                    child_origin.set(d, origin[d] + t * extent.get(d));
+                }
+                let members = ids
+                    .iter()
+                    .enumerate()
+                    .map(|(cell, &id)| {
+                        let (mut local, mut rest) = (Coord::zero(n), cell);
+                        for d in 0..n {
+                            local.set(d, (rest % usize::from(extent.get(d))) as u16);
+                            rest /= usize::from(extent.get(d));
+                        }
+                        (id, local)
+                    })
+                    .collect();
+                PositionedBlock { block: Block { extent, members }, origin: child_origin }
+            })
+            .collect();
+        let clusters = ids.len() as u32;
+        let graph = if rng.gen_bool(0.25) {
+            patterns::all_to_all(clusters, 1.0)
+        } else {
+            patterns::random(clusters, rng.gen_range(1..4 * ids.len() + 1), 1.0, 8.0, rng.gen())
+        };
+        let parent_extent: Vec<u16> = (0..n).map(|d| extent.get(d) * tiles[d]).collect();
+        Case {
+            topo: Torus::with_wraps(&dims, &wraps),
+            graph,
+            children,
+            parent_origin: Coord::new(&origin),
+            parent_extent: Coord::new(&parent_extent),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 24 } else { 400 }
+        ))]
+
+        /// The orbit quotient changes nothing: same first-pair ranking,
+        /// same merged block, same MCL bits as routing every candidate,
+        /// under any orientation-set restriction. DOR gets no quotient.
+        #[test]
+        fn orbit_quotient_matches_exhaustive_search(
+            seed in 0..u64::MAX,
+            proper in proptest::bool::ANY,
+            flips_only in proptest::bool::ANY,
+            beam_width in proptest::sample::select(vec![1usize, 4, 64]),
+        ) {
+            let case = random_case(seed);
+            let opts = MergeOptions {
+                beam_width,
+                proper_rotations_only: proper,
+                full_group_member_limit: if flips_only { 0 } else { 64 },
+                ..Default::default()
+            };
+            case.assert_quotient_exact(&opts);
+            let dor = MergeOptions { routing: Routing::DimOrder, ..opts };
+            proptest::prop_assert_eq!(case.assert_quotient_exact(&dor), 0);
+        }
+    }
+
+    #[test]
+    fn orbit_quotient_routes_one_candidate_per_mirror_image() {
+        // Two 2x2x2 octants of a 4x4x4 torus: all eight reflections fix
+        // both boxes and act freely on the 48 x 48 candidates.
+        let topo = Torus::torus(&[4, 4, 4]);
+        let g = patterns::random(16, 60, 1.0, 10.0, 5);
+        let octant = |parity: Rank, x: u16| PositionedBlock {
+            block: Block {
+                extent: c(&[2, 2, 2]),
+                // cluster 2i + parity sits at cell 3i mod 8
+                members: (0..8u16)
+                    .map(|i| {
+                        let cell = i * 3 % 8;
+                        (2 * Rank::from(i) + parity, c(&[cell / 4, cell / 2 % 2, cell % 2]))
+                    })
+                    .collect(),
+            },
+            origin: c(&[x, 2, 0]),
+        };
+        let case = Case {
+            topo,
+            graph: g,
+            children: vec![octant(0, 0), octant(1, 2)],
+            parent_origin: c(&[0, 2, 0]),
+            parent_extent: c(&[4, 2, 2]),
+        };
+        let skipped = case.assert_quotient_exact(&MergeOptions::default());
+        assert_eq!(skipped, 48 * 48 - 48 * 48 / 8);
+        // proper rotations only: the three single-axis mirrors (and their
+        // product) change handedness, leaving the four even reflections
+        let proper = MergeOptions { proper_rotations_only: true, ..Default::default() };
+        assert_eq!(case.assert_quotient_exact(&proper), 24 * 24 - 24 * 24 / 4);
+        let dor = MergeOptions { routing: Routing::DimOrder, ..Default::default() };
+        assert_eq!(case.assert_quotient_exact(&dor), 0);
     }
 
     use rahtm_commgraph::CommGraph;

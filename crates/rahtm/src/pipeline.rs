@@ -694,12 +694,15 @@ impl RahtmMapper {
             let child_graph = &levels[i + 1].coarse_graph;
             let assign = &levels[i].assignment; // child -> parent
             let mut pin_next = vec![Coord::zero(nd); child_graph.num_ranks() as usize];
-            for parent in 0..parent_graph.num_ranks() {
-                let children: Vec<Rank> = (0..child_graph.num_ranks())
-                    .filter(|&c| assign[c as usize] == parent)
-                    .collect();
+            // children of each parent, ascending, from one pass over `assign`
+            let mut children_of: Vec<Vec<Rank>> =
+                vec![Vec::new(); parent_graph.num_ranks() as usize];
+            for (c, &parent) in assign.iter().enumerate() {
+                children_of[parent as usize].push(c as Rank);
+            }
+            for (parent, children) in children_of.iter().enumerate() {
                 assert_eq!(children.len(), branching as usize);
-                let induced = child_graph.induced(&children);
+                let induced = child_graph.induced(children);
                 let place = self.solve_subproblem(
                     &leaf_cube,
                     &induced,
@@ -714,7 +717,7 @@ impl RahtmMapper {
                     // inactive dims stay 0: both terms are 0 there
                     let mut c = Coord::zero(nd);
                     for d in 0..nd {
-                        c.set(d, pin[i][parent as usize].get(d) * 2 + v.get(d));
+                        c.set(d, pin[i][parent].get(d) * 2 + v.get(d));
                     }
                     pin_next[child as usize] = c;
                 }

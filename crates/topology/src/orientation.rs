@@ -98,6 +98,20 @@ impl Orientation {
         (self.flips >> d) & 1 == 1
     }
 
+    /// The same axis permutation with the output-axis flip bits in `mask`
+    /// toggled. Placed at a fixed origin, this is the block mirrored inside
+    /// its box along each axis in `mask`.
+    ///
+    /// # Panics
+    /// Panics if `mask` has bits beyond the dimension count.
+    pub fn with_flips_toggled(&self, mask: u8) -> Orientation {
+        assert!(self.n == 8 || mask < (1 << self.n), "flip bits beyond dimension count");
+        Orientation {
+            flips: self.flips ^ mask,
+            ..*self
+        }
+    }
+
     /// Applies the orientation to a box-local coordinate, given the box
     /// extents *after* the transform (`extent[d]` must equal the input
     /// extent of axis `perm[d]`).
@@ -302,6 +316,19 @@ mod tests {
                 let id = mesh.node_id(&y) as usize;
                 assert!(!seen[id], "orientation not injective");
                 seen[id] = true;
+            }
+        }
+    }
+
+    #[test]
+    fn toggled_flips_mirror_the_output_axes() {
+        let e = Coord::new(&[2, 3, 4]);
+        for o in Orientation::enumerate_for(&e) {
+            let t = o.with_flips_toggled(0b101);
+            assert_eq!(t.with_flips_toggled(0b101), o);
+            for x in [Coord::new(&[0, 0, 0]), Coord::new(&[1, 2, 3]), Coord::new(&[1, 0, 2])] {
+                let (y, z) = (o.apply(&x, &e), t.apply(&x, &e));
+                assert_eq!(z, Coord::new(&[1 - y.get(0), y.get(1), 3 - y.get(2)]));
             }
         }
     }

@@ -110,6 +110,15 @@ fn walkthrough_journal_snapshot() {
             "counter {name} drifted"
         );
     }
+    // the side-4 merge's first pair: two 2x2 quadrants of the 4x4 torus,
+    // both fixed by the 4 reflections of its two dimensions, which act
+    // freely on the 8 x 8 candidates: 16 routed, 48 skipped
+    assert_eq!(
+        journal.counter(counters::MERGE_SYMMETRY_SKIPPED),
+        Some(48),
+        "counter {} drifted",
+        counters::MERGE_SYMMETRY_SKIPPED
+    );
     // anneal totals and deadline polls are deterministic too but tied to
     // tuning constants that shift legitimately; pin presence + positivity
     for name in [
