@@ -184,7 +184,6 @@ pub fn solve_milp_parallel(p: &Problem, opts: &MilpOptions) -> MilpResult {
     rec.add(counters::DEADLINE_CHECKS, stats.iter().map(|s| s.polls).sum());
     rec.add(counters::SIMPLEX_SOLVES, stats.iter().map(|s| s.lp_solves).sum());
     rec.add(counters::SIMPLEX_PIVOTS, stats.iter().map(|s| s.pivots).sum());
-    rec.add(counters::MILP_NODES, explored as u64);
     rec.add(counters::MILP_STEALS, steals);
     rec.add(counters::MILP_INCUMBENT_UPDATES, updates);
 

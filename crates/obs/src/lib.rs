@@ -4,13 +4,13 @@
 //! timers, monotonic counters, and gauges, collected into a deterministic
 //! structured [`Journal`] exportable as JSON.
 //!
-//! The design contract is *zero hot-path cost when disabled*: a
-//! [`Recorder`] is a cheap clonable handle that is either live (backed by a
-//! shared sink) or a no-op. Every recording method starts with an
-//! `Option` check, so threading a disabled recorder unconditionally
-//! through the solvers costs one branch per **batched** call — solver
-//! loops accumulate locally and record once per solve, never per
-//! iteration.
+//! A [`Recorder`] is a cheap clonable handle that is either live (backed
+//! by a shared sink) or a no-op. Every recording method starts with an
+//! `Option` check, so a solver called directly with a disabled recorder
+//! pays one branch per **batched** call — solver loops accumulate locally
+//! and record once per solve, never per iteration. The RAHTM pipeline
+//! always records into a live per-run recorder: its journal is the run's
+//! only record, from which the phase statistics are derived.
 //!
 //! Determinism: the journal is keyed by name with sorted export order, and
 //! every *count* and *gauge value* produced by the (deterministic) RAHTM
@@ -80,8 +80,6 @@ pub mod counters {
     pub const STENCIL_MISSES: &str = "route.stencil.misses";
     /// Distinct stencils resident in the cache at report time.
     pub const STENCIL_ENTRIES: &str = "route.stencil.entries";
-    /// Branch-and-bound nodes explored by the parallel MILP search.
-    pub const MILP_NODES: &str = "milp.nodes";
     /// Nodes acquired by stealing from a sibling worker's deque.
     pub const MILP_STEALS: &str = "milp.steals";
     /// Times the shared incumbent was improved (or tie-broken) by a worker.
@@ -135,12 +133,32 @@ struct Sink {
     counters: Mutex<BTreeMap<String, u64>>,
     spans: Mutex<BTreeMap<String, SpanAgg>>,
     gauges: Mutex<BTreeMap<String, Vec<f64>>>,
+    events: Mutex<Vec<String>>,
 }
 
 #[derive(Clone, Copy, Debug, Default)]
 struct SpanAgg {
     count: u64,
     secs: f64,
+}
+
+impl Sink {
+    fn add_counter(&self, name: &str, delta: u64) {
+        let mut counters = self.counters.lock();
+        match counters.get_mut(name) {
+            Some(value) => *value += delta,
+            None => {
+                counters.insert(name.to_string(), delta);
+            }
+        }
+    }
+
+    fn add_span(&self, name: &str, count: u64, secs: f64) {
+        let mut spans = self.spans.lock();
+        let agg = spans.entry(name.to_string()).or_default();
+        agg.count += count;
+        agg.secs += secs;
+    }
 }
 
 /// A handle to the trace sink: either live (all clones share one sink) or
@@ -176,7 +194,7 @@ impl Recorder {
     pub fn add(&self, name: &str, delta: u64) {
         if let Some(sink) = &self.inner {
             if delta > 0 {
-                *sink.counters.lock().entry(name.to_string()).or_insert(0) += delta;
+                sink.add_counter(name, delta);
             }
         }
     }
@@ -192,6 +210,13 @@ impl Recorder {
     pub fn gauge(&self, name: &str, value: f64) {
         if let Some(sink) = &self.inner {
             sink.gauges.lock().entry(name.to_string()).or_default().push(value);
+        }
+    }
+
+    /// Records one human-readable event line (a degradation the run took).
+    pub fn event(&self, line: String) {
+        if let Some(sink) = &self.inner {
+            sink.events.lock().push(line);
         }
     }
 
@@ -212,11 +237,27 @@ impl Recorder {
     #[inline]
     pub fn record_span_secs(&self, name: &str, secs: f64) {
         if let Some(sink) = &self.inner {
-            let mut spans = sink.spans.lock();
-            let agg = spans.entry(name.to_string()).or_default();
-            agg.count += 1;
-            agg.secs += secs;
+            sink.add_span(name, 1, secs);
         }
+    }
+
+    /// Adds everything in `journal` to this recorder: counters, span
+    /// counts and seconds add up; gauge values and events are appended.
+    /// Absorbing into a fresh recorder reproduces `journal` exactly.
+    pub fn absorb(&self, journal: &Journal) {
+        let Some(sink) = &self.inner else {
+            return;
+        };
+        for c in &journal.counters {
+            sink.add_counter(&c.name, c.value);
+        }
+        for s in &journal.spans {
+            sink.add_span(&s.name, s.count, s.secs);
+        }
+        for g in &journal.gauges {
+            sink.gauges.lock().entry(g.name.clone()).or_default().extend(&g.values);
+        }
+        sink.events.lock().extend(journal.events.iter().cloned());
     }
 
     /// Current value of a counter (0 if never recorded or disabled).
@@ -264,10 +305,13 @@ impl Recorder {
                 }
             })
             .collect();
+        let mut events = sink.events.lock().clone();
+        events.sort();
         Journal {
             spans,
             counters,
             gauges,
+            events,
         }
     }
 }
@@ -281,11 +325,7 @@ pub struct Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some((sink, name, start)) = self.live.take() {
-            let secs = start.elapsed().as_secs_f64();
-            let mut spans = sink.spans.lock();
-            let agg = spans.entry(name).or_default();
-            agg.count += 1;
-            agg.secs += secs;
+            sink.add_span(&name, 1, start.elapsed().as_secs_f64());
         }
     }
 }
@@ -321,7 +361,7 @@ pub struct GaugeEntry {
 }
 
 /// A deterministic structured snapshot of everything a [`Recorder`] saw:
-/// spans, counters, and gauges, each sorted by name.
+/// spans, counters, and gauges, each sorted by name, and event lines.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Journal {
     /// Span totals, sorted by name.
@@ -330,6 +370,9 @@ pub struct Journal {
     pub counters: Vec<CounterEntry>,
     /// Gauges, sorted by name (values sorted ascending).
     pub gauges: Vec<GaugeEntry>,
+    /// Event lines, sorted (occurrence order across concurrent slices is
+    /// not deterministic).
+    pub events: Vec<String>,
 }
 
 impl Journal {
@@ -352,7 +395,7 @@ impl Journal {
     }
 
     /// A copy with all span durations zeroed: everything that remains
-    /// (names, counts, counters, gauges) is reproducible run to run for
+    /// (names, counts, counters, gauges, events) is reproducible run to run for
     /// the deterministic pipeline, so normalized journals can be compared
     /// with `==` in tests.
     pub fn normalized(&self) -> Journal {
@@ -369,49 +412,37 @@ impl Journal {
     /// {
     ///   "spans":    [{"name": "pipeline", "count": 1, "secs": 0.8}, ...],
     ///   "counters": [{"name": "lp.simplex.pivots", "value": 912}, ...],
-    ///   "gauges":   [{"name": "merge.mcl.side2", "values": [40.0]}, ...]
+    ///   "gauges":   [{"name": "merge.mcl.side2", "values": [40.0]}, ...],
+    ///   "events":   ["sub-problem (4 clusters): deadline expired, greedy placement", ...]
     /// }
     /// ```
     pub fn to_json(&self) -> serde_json::Value {
         use serde_json::Value;
-        let spans = self
-            .spans
-            .iter()
-            .map(|s| {
-                Value::Object(vec![
-                    ("name".to_string(), Value::String(s.name.clone())),
-                    ("count".to_string(), Value::Number(s.count as f64)),
-                    ("secs".to_string(), Value::Number(s.secs)),
-                ])
-            })
-            .collect();
+        let obj = |fields: Vec<(&str, Value)>| {
+            Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        };
+        let name = |n: &str| ("name", Value::String(n.to_string()));
+        let spans = self.spans.iter().map(|s| {
+            obj(vec![
+                name(&s.name),
+                ("count", Value::Number(s.count as f64)),
+                ("secs", Value::Number(s.secs)),
+            ])
+        });
         let counters = self
             .counters
             .iter()
-            .map(|c| {
-                Value::Object(vec![
-                    ("name".to_string(), Value::String(c.name.clone())),
-                    ("value".to_string(), Value::Number(c.value as f64)),
-                ])
-            })
-            .collect();
-        let gauges = self
-            .gauges
-            .iter()
-            .map(|g| {
-                Value::Object(vec![
-                    ("name".to_string(), Value::String(g.name.clone())),
-                    (
-                        "values".to_string(),
-                        Value::Array(g.values.iter().map(|&v| Value::Number(v)).collect()),
-                    ),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            ("spans".to_string(), Value::Array(spans)),
-            ("counters".to_string(), Value::Array(counters)),
-            ("gauges".to_string(), Value::Array(gauges)),
+            .map(|c| obj(vec![name(&c.name), ("value", Value::Number(c.value as f64))]));
+        let gauges = self.gauges.iter().map(|g| {
+            let values = g.values.iter().map(|&v| Value::Number(v)).collect();
+            obj(vec![name(&g.name), ("values", Value::Array(values))])
+        });
+        let events = self.events.iter().map(|e| Value::String(e.clone()));
+        obj(vec![
+            ("spans", Value::Array(spans.collect())),
+            ("counters", Value::Array(counters.collect())),
+            ("gauges", Value::Array(gauges.collect())),
+            ("events", Value::Array(events.collect())),
         ])
     }
 
@@ -472,6 +503,9 @@ impl Journal {
                 values,
             });
         }
+        for e in section("events")? {
+            j.events.push(e.as_str().ok_or("non-string event")?.to_string());
+        }
         Ok(j)
     }
 }
@@ -486,6 +520,7 @@ mod tests {
         assert!(!rec.is_enabled());
         rec.add("x", 5);
         rec.gauge("g", 1.0);
+        rec.event("e".to_string());
         rec.record_span_secs("s", 0.5);
         drop(rec.span("t"));
         let j = rec.journal();
@@ -547,6 +582,59 @@ mod tests {
         let text = j.to_json_pretty();
         let back = Journal::from_json(&serde_json::from_str(&text).unwrap()).unwrap();
         assert_eq!(back, j);
+    }
+
+    #[test]
+    fn events_are_sorted_and_survive_json_roundtrip() {
+        let rec = Recorder::enabled();
+        rec.event("slice 1: b".to_string());
+        rec.event("slice 0: a".to_string());
+        let j = rec.journal();
+        assert_eq!(j.events, vec!["slice 0: a", "slice 1: b"]);
+        let text = j.to_json_pretty();
+        let back = Journal::from_json(&serde_json::from_str(&text).unwrap()).unwrap();
+        assert_eq!(back, j);
+    }
+
+    fn sample_journal() -> Journal {
+        let rec = Recorder::enabled();
+        rec.add("c", 3);
+        rec.record_span_secs("s", 0.5);
+        rec.gauge("g", 2.0);
+        rec.gauge("g", 1.0);
+        rec.event("e1".to_string());
+        rec.journal()
+    }
+
+    #[test]
+    fn absorb_into_fresh_recorder_reproduces_the_journal() {
+        let j = sample_journal();
+        let rec = Recorder::enabled();
+        rec.absorb(&j);
+        assert_eq!(rec.journal(), j);
+        // a disabled recorder ignores it
+        let off = Recorder::disabled();
+        off.absorb(&j);
+        assert_eq!(off.journal(), Journal::default());
+    }
+
+    #[test]
+    fn absorb_into_used_recorder_adds_and_appends() {
+        let rec = Recorder::enabled();
+        rec.add("c", 1);
+        rec.add("other", 7);
+        rec.record_span_secs("s", 0.25);
+        rec.gauge("g", 3.0);
+        rec.event("e0".to_string());
+        rec.absorb(&sample_journal());
+        let j = rec.journal();
+        assert_eq!(j.counter("c"), Some(4));
+        assert_eq!(j.counter("other"), Some(7));
+        let s = j.span("s").unwrap();
+        assert_eq!(s.count, 2);
+        assert!((s.secs - 0.75).abs() < 1e-12);
+        assert_eq!(j.gauge("g").unwrap().values, vec![1.0, 2.0, 3.0]);
+        assert_eq!(j.events, vec!["e0", "e1"]);
     }
 
     #[test]

@@ -54,4 +54,4 @@ pub mod refine;
 pub use error::RahtmError;
 pub use fault::{Fault, FaultPlan};
 pub use mapping::TaskMapping;
-pub use pipeline::{DegradationReport, RahtmConfig, RahtmMapper, RahtmResult};
+pub use pipeline::{DegradationReport, PhaseStats, RahtmConfig, RahtmMapper, RahtmResult};

@@ -130,7 +130,8 @@ impl RahtmConfig {
 /// and every fallback the run took. A report with `total_downgrades() == 0`
 /// means the pipeline delivered exactly what the configuration asked for;
 /// anything else tells the operator which quality was traded for meeting
-/// the time budget (or for surviving a fault).
+/// the time budget (or for surviving a fault). Derived from the run's
+/// journal by [`PhaseStats::from_journal`].
 #[derive(Clone, Debug, Default)]
 pub struct DegradationReport {
     /// Sub-problems answered by the Table II MILP within budget.
@@ -149,8 +150,8 @@ pub struct DegradationReport {
     /// Slice workers that panicked and whose slice was re-solved
     /// sequentially on the fallback path.
     pub salvaged_workers: usize,
-    /// One human-readable line per degradation event, in occurrence order
-    /// (per slice; slices run concurrently).
+    /// One human-readable line per degradation event, sorted (slices run
+    /// concurrently, so occurrence order is not reproducible).
     pub events: Vec<String>,
 }
 
@@ -159,27 +160,21 @@ impl DegradationReport {
     pub fn total_downgrades(&self) -> usize {
         self.downgraded + self.identity_merges + self.salvaged_workers
     }
-
-    /// Accumulates another report (per-slice worker reports).
-    pub fn absorb(&mut self, other: &DegradationReport) {
-        self.milp += other.milp;
-        self.anneal += other.anneal;
-        self.greedy += other.greedy;
-        self.downgraded += other.downgraded;
-        self.identity_merges += other.identity_merges;
-        self.salvaged_workers += other.salvaged_workers;
-        self.events.extend(other.events.iter().cloned());
-    }
 }
 
-/// Per-phase instrumentation (the §V-B optimization-time report).
+/// Per-phase instrumentation (the §V-B optimization-time report): a
+/// read-only view of the run's journal, built once at the end of
+/// [`RahtmMapper::run`] by [`PhaseStats::from_journal`]. Counts cover all
+/// work performed, including solves finished by a slice worker that later
+/// panicked. Phase times add across concurrent slices (total work, not
+/// elapsed time).
 #[derive(Clone, Debug, Default)]
 pub struct PhaseStats {
     /// Phase 1 wall time (seconds).
     pub clustering_secs: f64,
     /// Phase 2 wall time (seconds).
     pub milp_secs: f64,
-    /// Phase 3 wall time (seconds).
+    /// Phase 3 wall time (seconds), slice merge included.
     pub merge_secs: f64,
     /// Sub-problem solves actually performed.
     pub milp_solves: usize,
@@ -193,38 +188,37 @@ pub struct PhaseStats {
     pub milp_symmetry_pruned: usize,
     /// Orientation candidates evaluated in phase 3.
     pub merge_candidates: usize,
-    /// Candidates surviving beam truncation in phase 3 (entries carried
-    /// forward between beam steps).
-    pub merge_kept: usize,
-    /// Parent merges answered by the translation-symmetry cache.
-    pub merge_cache_hits: usize,
-    /// Simulated-annealing proposals accepted across all sub-problems.
-    pub anneal_accepted: usize,
-    /// Simulated-annealing proposals rejected across all sub-problems.
-    pub anneal_rejected: usize,
     /// Which ladder level answered each sub-problem, and every fallback
     /// taken (time budget or fault).
     pub degradation: DegradationReport,
 }
 
 impl PhaseStats {
-    /// Accumulates another stats record (used to merge per-slice worker
-    /// stats; phase wall times add because slices run concurrently but the
-    /// report tracks total work, not elapsed time).
-    pub fn absorb(&mut self, other: &PhaseStats) {
-        self.clustering_secs += other.clustering_secs;
-        self.milp_secs += other.milp_secs;
-        self.merge_secs += other.merge_secs;
-        self.milp_solves += other.milp_solves;
-        self.milp_cache_hits += other.milp_cache_hits;
-        self.milp_nodes += other.milp_nodes;
-        self.milp_symmetry_pruned += other.milp_symmetry_pruned;
-        self.merge_candidates += other.merge_candidates;
-        self.merge_kept += other.merge_kept;
-        self.merge_cache_hits += other.merge_cache_hits;
-        self.anneal_accepted += other.anneal_accepted;
-        self.anneal_rejected += other.anneal_rejected;
-        self.degradation.absorb(&other.degradation);
+    /// The stats view of a pipeline journal: phase times from the
+    /// `pipeline.*` spans, counts from the solver, cache and `degrade.*`
+    /// counters, and the journal's event lines.
+    pub fn from_journal(j: &Journal) -> Self {
+        let count = |name: &str| j.counter(name).unwrap_or(0) as usize;
+        let secs = |name: &str| j.span(name).map_or(0.0, |s| s.secs);
+        PhaseStats {
+            clustering_secs: secs(spans::CLUSTERING),
+            milp_secs: secs(spans::MILP),
+            merge_secs: secs(spans::MERGE) + secs(spans::MERGE_SLICES),
+            milp_solves: count(counters::SUBPROBLEMS_SOLVED),
+            milp_cache_hits: count(counters::SUB_CACHE_HITS),
+            milp_nodes: count(counters::BNB_NODES_EXPLORED),
+            milp_symmetry_pruned: count(counters::MILP_SYMMETRY_PRUNED),
+            merge_candidates: count(counters::MERGE_CANDIDATES_EVALUATED),
+            degradation: DegradationReport {
+                milp: count(counters::DEGRADE_MILP),
+                anneal: count(counters::DEGRADE_ANNEAL),
+                greedy: count(counters::DEGRADE_GREEDY),
+                downgraded: count(counters::DEGRADE_DOWNGRADED),
+                identity_merges: count(counters::DEGRADE_IDENTITY_MERGES),
+                salvaged_workers: count(counters::DEGRADE_SALVAGED_WORKERS),
+                events: j.events.clone(),
+            },
+        }
     }
 }
 
@@ -236,11 +230,12 @@ pub struct RahtmResult {
     /// Predicted MCL of the node-level traffic under the configured
     /// routing model.
     pub predicted_mcl: f64,
-    /// Phase instrumentation.
+    /// Phase instrumentation, derived from this run's journal.
     pub stats: PhaseStats,
-    /// The full structured trace (`Some` only when the mapper carries a
-    /// live [`Recorder`]): spans, counters, and gauges accumulated across
-    /// every phase and solver of this run.
+    /// This run's journal (`Some` only when the mapper's
+    /// [`RahtmMapper::recorder`] is live): spans, counters, gauges and
+    /// degradation events of this run alone, even when the caller reuses
+    /// one recorder across runs.
     pub journal: Option<Journal>,
 }
 
@@ -249,10 +244,10 @@ pub struct RahtmResult {
 pub struct RahtmMapper {
     /// Configuration.
     pub config: RahtmConfig,
-    /// Trace sink threaded through every phase and solver. Disabled by
-    /// default — recording methods short-circuit on one branch, and all
-    /// solver counters are batched per solve, so an untraced run pays
-    /// nothing on the hot paths.
+    /// Export target for run journals. Every run records into its own
+    /// live recorder (its only record, from which [`RahtmResult::stats`]
+    /// is derived); when this one is enabled, the run's journal is added
+    /// to it and returned in [`RahtmResult::journal`]. Disabled by default.
     pub recorder: Recorder,
 }
 
@@ -372,12 +367,8 @@ impl RahtmMapper {
             Some(budget) => Deadline::after(budget),
             None => Deadline::never(),
         };
-
-        let mut stats = PhaseStats::default();
+        let recorder = Recorder::enabled();
         let t_run = Instant::now();
-        // One stencil cache for the machine topology serves every merge,
-        // the polish pass, and the final MCL prediction of this run.
-        let machine_stencils = Arc::new(RouteStencilCache::new(topo));
 
         // ---- Phase 1a: concentration clustering ----
         let t0 = Instant::now();
@@ -389,51 +380,38 @@ impl RahtmMapper {
         let slices = machine.uniform_slices();
         let s = slices.len() as u32;
         let (slice_members, slice_grids) = split_into_slices(&g_node, &node_grid, s);
-        let phase1 = t0.elapsed().as_secs_f64();
-        stats.clustering_secs += phase1;
-        self.recorder.record_span_secs(spans::CLUSTERING, phase1);
+        recorder.record_span_secs(spans::CLUSTERING, t0.elapsed().as_secs_f64());
 
         // ---- Per-slice phases 2+3 (slices are independent; run them on
         // crossbeam scoped threads sharing the sub-problem cache) ----
         // Core budget: slice workers split the machine evenly, and each
         // slice's merge pool and branch-and-bound workers live inside that
         // share — the three layers of parallelism never multiply.
-        let slice_core_share = crate::cores::share(slices.len());
-        let milp_threads = crate::cores::resolve(cfg.milp_threads, slices.len());
-        let cache: Mutex<HashMap<SubKey, Vec<NodeId>>> = Mutex::new(HashMap::new());
-        let merge_cache: Mutex<HashMap<MergeKey, Vec<Coord>>> = Mutex::new(HashMap::new());
-        type SliceOutcome =
-            Result<(PositionedBlock, PhaseStats), Box<dyn std::any::Any + Send + 'static>>;
+        let ctx = RunContext {
+            cfg,
+            machine,
+            g_node: &g_node,
+            sub_cache: Mutex::new(HashMap::new()),
+            merge_cache: Mutex::new(HashMap::new()),
+            // One stencil cache for the machine topology serves every
+            // merge, the polish pass, and the final MCL prediction.
+            machine_stencils: Arc::new(RouteStencilCache::new(topo)),
+            deadline,
+            core_share: crate::cores::share(slices.len()),
+            milp_threads: crate::cores::resolve(cfg.milp_threads, slices.len()),
+            recorder,
+        };
+        let rec = &ctx.recorder;
+        type SliceOutcome = Result<PositionedBlock, Box<dyn std::any::Any + Send + 'static>>;
         let slice_results: Vec<SliceOutcome> = match crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (si, slice) in slices.iter().enumerate() {
-                let members = &slice_members[si];
-                let sgrid = &slice_grids[si];
-                let g_node = &g_node;
-                let cache = &cache;
-                let merge_cache = &merge_cache;
-                let machine_stencils = &machine_stencils;
-                handles.push(scope.spawn(move |_| {
-                    let mut local_stats = PhaseStats::default();
-                    let g_slice = g_node.induced(members);
-                    let block = self.solve_slice(
-                        machine,
-                        slice,
-                        &g_slice,
-                        sgrid,
-                        members,
-                        g_node,
-                        cache,
-                        merge_cache,
-                        machine_stencils,
-                        &mut local_stats,
-                        deadline,
-                        slice_core_share,
-                        milp_threads,
-                    );
-                    (block, local_stats)
-                }));
-            }
+            let handles: Vec<_> = (0..slices.len())
+                .map(|si| {
+                    let ctx = &ctx;
+                    let (slice, members) = (&slices[si], &slice_members[si]);
+                    let sgrid = &slice_grids[si];
+                    scope.spawn(move |_| ctx.solve_slice(slice, members, sgrid))
+                })
+                .collect();
             // join() captures worker panics as Err payloads instead of
             // taking the whole run down; salvage happens below
             handles.into_iter().map(|h| h.join()).collect()
@@ -446,58 +424,30 @@ impl RahtmMapper {
                 )))
             }
         };
-        let mut slice_blocks: Vec<PositionedBlock> = Vec::new();
+        let mut slice_blocks: Vec<PositionedBlock> = Vec::with_capacity(slices.len());
         for (si, outcome) in slice_results.into_iter().enumerate() {
-            match outcome {
-                Ok((block, local)) => {
-                    slice_blocks.push(block);
-                    stats.absorb(&local);
-                }
+            let block = match outcome {
+                Ok(block) => block,
                 Err(payload) => {
                     // Panic isolation: the other slices' work is already
                     // salvaged above; re-solve only the failed slice,
                     // sequentially, on the fallback path. A second panic
                     // becomes a typed error.
                     let msg = panic_message(payload.as_ref());
-                    stats.degradation.salvaged_workers += 1;
-                    self.recorder.incr(counters::DEGRADE_SALVAGED_WORKERS);
-                    stats.degradation.events.push(format!(
+                    rec.incr(counters::DEGRADE_SALVAGED_WORKERS);
+                    rec.event(format!(
                         "slice {si}: worker panicked ({msg}); re-solved sequentially"
                     ));
-                    let retry = catch_unwind(AssertUnwindSafe(|| {
-                        let mut local_stats = PhaseStats::default();
-                        let g_slice = g_node.induced(&slice_members[si]);
-                        let block = self.solve_slice(
-                            machine,
-                            &slices[si],
-                            &g_slice,
-                            &slice_grids[si],
-                            &slice_members[si],
-                            &g_node,
-                            &cache,
-                            &merge_cache,
-                            &machine_stencils,
-                            &mut local_stats,
-                            deadline,
-                            slice_core_share,
-                            milp_threads,
-                        );
-                        (block, local_stats)
-                    }));
-                    match retry {
-                        Ok((block, local)) => {
-                            slice_blocks.push(block);
-                            stats.absorb(&local);
-                        }
-                        Err(p2) => {
-                            return Err(RahtmError::WorkerPanic {
-                                slice: si,
-                                message: panic_message(p2.as_ref()),
-                            })
-                        }
-                    }
+                    catch_unwind(AssertUnwindSafe(|| {
+                        ctx.solve_slice(&slices[si], &slice_members[si], &slice_grids[si])
+                    }))
+                    .map_err(|p2| RahtmError::WorkerPanic {
+                        slice: si,
+                        message: panic_message(p2.as_ref()),
+                    })?
                 }
-            }
+            };
+            slice_blocks.push(block);
         }
 
         // ---- Final slice merge ----
@@ -520,28 +470,21 @@ impl RahtmMapper {
                         beam_width: cfg.beam_width,
                         routing: cfg.routing,
                         deadline,
-                        recorder: self.recorder.clone(),
-                        stencils: Some(Arc::clone(&machine_stencils)),
+                        recorder: rec.clone(),
+                        stencils: Some(Arc::clone(&ctx.machine_stencils)),
                         // slice blocks exceed full_group_member_limit, so the
                         // search automatically restricts to axis flips
                         ..Default::default()
                     },
                 );
-                stats.merge_candidates += res.candidates_evaluated;
-                stats.merge_kept += res.candidates_kept;
-                self.recorder.gauge(gauges::MERGE_MCL_SLICES, res.mcl);
+                rec.gauge(gauges::MERGE_MCL_SLICES, res.mcl);
                 if res.deadline_hit {
-                    stats.degradation.identity_merges += 1;
-                    stats.degradation.events.push(
-                        "final slice merge: deadline hit, identity composition".to_string(),
-                    );
+                    rec.event("final slice merge: deadline hit, identity composition".to_string());
                 }
                 res.block
             }
         };
-        let slices_secs = t3.elapsed().as_secs_f64();
-        stats.merge_secs += slices_secs;
-        self.recorder.record_span_secs(spans::MERGE_SLICES, slices_secs);
+        rec.record_span_secs(spans::MERGE_SLICES, t3.elapsed().as_secs_f64());
 
         // ---- Expand to a process mapping ----
         let mut node_of_cluster = vec![u32::MAX; g_node.num_ranks() as usize];
@@ -563,11 +506,10 @@ impl RahtmMapper {
                 cfg.routing,
                 cfg.polish_swaps,
                 cfg.seed,
-                &machine_stencils,
+                &ctx.machine_stencils,
             )
             .placement;
-            self.recorder
-                .record_span_secs(spans::POLISH, tp.elapsed().as_secs_f64());
+            rec.record_span_secs(spans::POLISH, tp.elapsed().as_secs_f64());
             polished
         } else {
             node_of_cluster
@@ -578,47 +520,49 @@ impl RahtmMapper {
             .map(|&cl| node_of_cluster[cl as usize])
             .collect();
         let mapping = TaskMapping::from_nodes(machine, node_of_rank);
-        let predicted_mcl = machine_stencils
+        let predicted_mcl = ctx
+            .machine_stencils
             .route_graph(topo, &g_node, &node_of_cluster, cfg.routing)
             .mcl(topo);
-        self.recorder.gauge(gauges::PREDICTED_MCL, predicted_mcl);
-        machine_stencils.report(&self.recorder);
-        self.recorder
-            .record_span_secs(spans::PIPELINE, t_run.elapsed().as_secs_f64());
-        let journal = if self.recorder.is_enabled() {
-            Some(self.recorder.journal())
-        } else {
-            None
-        };
+        rec.gauge(gauges::PREDICTED_MCL, predicted_mcl);
+        ctx.machine_stencils.report(rec);
+        rec.record_span_secs(spans::PIPELINE, t_run.elapsed().as_secs_f64());
+        let journal = rec.journal();
+        self.recorder.absorb(&journal);
         Ok(RahtmResult {
             mapping,
             predicted_mcl,
-            stats,
-            journal,
+            stats: PhaseStats::from_journal(&journal),
+            journal: self.recorder.is_enabled().then_some(journal),
         })
     }
+}
 
+/// One run's shared state: the inputs, both solution caches, the machine
+/// stencils, the time and core budgets, and the run's recorder. Slice
+/// workers borrow it concurrently.
+struct RunContext<'a> {
+    cfg: &'a RahtmConfig,
+    machine: &'a BgqMachine,
+    /// The node-cluster graph (one cluster per machine node).
+    g_node: &'a CommGraph,
+    sub_cache: Mutex<HashMap<SubKey, Vec<NodeId>>>,
+    merge_cache: Mutex<HashMap<MergeKey, Vec<Coord>>>,
+    machine_stencils: Arc<RouteStencilCache>,
+    deadline: Deadline,
+    /// Cores available to one slice worker's merge pool.
+    core_share: usize,
+    milp_threads: usize,
+    recorder: Recorder,
+}
+
+impl RunContext<'_> {
     /// Phases 2 and 3 for one uniform slice; returns the slice's solved
     /// block positioned at the slice origin.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_slice(
-        &self,
-        machine: &BgqMachine,
-        slice: &SubCube,
-        g_slice: &CommGraph,
-        sgrid: &RankGrid,
-        members: &[Rank],
-        g_node: &CommGraph,
-        cache: &Mutex<HashMap<SubKey, Vec<NodeId>>>,
-        merge_cache: &Mutex<HashMap<MergeKey, Vec<Coord>>>,
-        machine_stencils: &Arc<RouteStencilCache>,
-        stats: &mut PhaseStats,
-        deadline: Deadline,
-        core_share: usize,
-        milp_threads: usize,
-    ) -> PositionedBlock {
-        let cfg = &self.config;
-        let topo = machine.torus();
+    fn solve_slice(&self, slice: &SubCube, members: &[Rank], sgrid: &RankGrid) -> PositionedBlock {
+        let (cfg, rec, g_node) = (self.cfg, &self.recorder, self.g_node);
+        let g_slice = g_node.induced(members);
+        let topo = self.machine.torus();
         let nd = topo.ndims();
         let active: Vec<usize> = (0..nd).filter(|&d| slice.extent().get(d) > 1).collect();
         let n_eff = active.len();
@@ -645,12 +589,10 @@ impl RahtmMapper {
 
         // ---- Phase 1b: hierarchy within the slice ----
         let t0 = Instant::now();
-        let levels = build_hierarchy_with(g_slice, sgrid, 1, branching, branching, cfg.tiling_search);
-        let hier_secs = t0.elapsed().as_secs_f64();
-        stats.clustering_secs += hier_secs;
-        self.recorder.record_span_secs(spans::CLUSTERING, hier_secs);
+        let levels = build_hierarchy_with(&g_slice, sgrid, 1, branching, branching, cfg.tiling_search);
+        rec.record_span_secs(spans::CLUSTERING, t0.elapsed().as_secs_f64());
         for (i, lvl) in levels.iter().enumerate() {
-            self.recorder.gauge(
+            rec.gauge(
                 &gauges::cluster_level_size(i),
                 lvl.coarse_graph.num_ranks() as f64,
             );
@@ -674,15 +616,7 @@ impl RahtmMapper {
         let mut pin: Vec<Vec<Coord>> = Vec::with_capacity(d_levels);
         // root solve
         let root_graph = &levels[0].coarse_graph;
-        let root_place = self.solve_subproblem(
-            &root_cube,
-            root_graph,
-            cache,
-            &root_stencils,
-            stats,
-            deadline,
-            milp_threads,
-        );
+        let root_place = self.solve_subproblem(&root_cube, root_graph, &root_stencils);
         pin.push(
             root_place
                 .iter()
@@ -703,15 +637,7 @@ impl RahtmMapper {
             for (parent, children) in children_of.iter().enumerate() {
                 assert_eq!(children.len(), branching as usize);
                 let induced = child_graph.induced(children);
-                let place = self.solve_subproblem(
-                    &leaf_cube,
-                    &induced,
-                    cache,
-                    &leaf_stencils,
-                    stats,
-                    deadline,
-                    milp_threads,
-                );
+                let place = self.solve_subproblem(&leaf_cube, &induced, &leaf_stencils);
                 for (li, &child) in children.iter().enumerate() {
                     let v = embed_vertex(&leaf_cube, place[li], &active, nd);
                     // inactive dims stay 0: both terms are 0 there
@@ -724,9 +650,7 @@ impl RahtmMapper {
             }
             pin.push(pin_next);
         }
-        let milp_secs = t1.elapsed().as_secs_f64();
-        stats.milp_secs += milp_secs;
-        self.recorder.record_span_secs(spans::MILP, milp_secs);
+        rec.record_span_secs(spans::MILP, t1.elapsed().as_secs_f64());
 
         // pin.last(): slice-relative node coordinates of every slice
         // cluster (local ids): 0..side-1 on active dims, 0 on inactive ones.
@@ -784,9 +708,8 @@ impl RahtmMapper {
                 children.sort_by_key(|c| c.origin.as_slice().to_vec());
                 let (mkey, canon_ids) = merge_key(g_node, &children, &key, &parent_extent);
                 if cfg.cache_subproblems {
-                    if let Some(coords) = merge_cache.lock().get(&mkey).cloned().as_ref() {
-                        stats.merge_cache_hits += 1;
-                        self.recorder.incr(counters::MERGE_CACHE_HITS);
+                    if let Some(coords) = self.merge_cache.lock().get(&mkey).cloned().as_ref() {
+                        rec.incr(counters::MERGE_CACHE_HITS);
                         let members = canon_ids
                             .iter()
                             .zip(coords)
@@ -802,7 +725,7 @@ impl RahtmMapper {
                         continue;
                     }
                 }
-                self.recorder.incr(counters::MERGE_CACHE_MISSES);
+                rec.incr(counters::MERGE_CACHE_MISSES);
                 let res = merge_blocks(
                     topo,
                     g_node,
@@ -812,19 +735,16 @@ impl RahtmMapper {
                     &MergeOptions {
                         beam_width: cfg.beam_width,
                         routing: cfg.routing,
-                        deadline,
-                        recorder: self.recorder.clone(),
-                        stencils: Some(Arc::clone(machine_stencils)),
-                        thread_cap: core_share,
+                        deadline: self.deadline,
+                        recorder: rec.clone(),
+                        stencils: Some(Arc::clone(&self.machine_stencils)),
+                        thread_cap: self.core_share,
                         ..Default::default()
                     },
                 );
-                stats.merge_candidates += res.candidates_evaluated;
-                stats.merge_kept += res.candidates_kept;
-                self.recorder.gauge(&gauges::merge_mcl(sb), res.mcl);
+                rec.gauge(&gauges::merge_mcl(sb), res.mcl);
                 if res.deadline_hit {
-                    stats.degradation.identity_merges += 1;
-                    stats.degradation.events.push(format!(
+                    rec.event(format!(
                         "merge of {} blocks (side {sb}): deadline hit, identity composition",
                         children.len()
                     ));
@@ -835,7 +755,7 @@ impl RahtmMapper {
                         res.block.members.iter().cloned().collect();
                     let coords: Vec<Coord> =
                         canon_ids.iter().map(|id| coord_of[id]).collect();
-                    merge_cache.lock().insert(mkey, coords);
+                    self.merge_cache.lock().insert(mkey, coords);
                 }
                 new_blocks.push(PositionedBlock {
                     block: res.block,
@@ -843,13 +763,10 @@ impl RahtmMapper {
                 });
             }
             blocks = new_blocks;
-            self.recorder
-                .record_span_secs(&spans::merge_side(sb), t_level.elapsed().as_secs_f64());
+            rec.record_span_secs(&spans::merge_side(sb), t_level.elapsed().as_secs_f64());
             sb *= 2;
         }
-        let merge_secs = t2.elapsed().as_secs_f64();
-        stats.merge_secs += merge_secs;
-        self.recorder.record_span_secs(spans::MERGE, merge_secs);
+        rec.record_span_secs(spans::MERGE, t2.elapsed().as_secs_f64());
         // invariant: a panic here is caught by the slice-salvage layer and
         // surfaces as RahtmError::WorkerPanic, never a crash of run()
         match blocks.pop() {
@@ -868,54 +785,47 @@ impl RahtmMapper {
     /// 3. **Greedy** — a deterministic volume-ordered placement that costs
     ///    one sort.
     ///
-    /// Every rung below the configured top level is recorded in
-    /// `stats.degradation`. The ladder always produces a valid placement.
-    #[allow(clippy::too_many_arguments)]
+    /// The answering rung is counted under `degrade.rung.*`; every rung
+    /// below the configured top level is also a downgrade with an event
+    /// line. The ladder always produces a valid placement.
     fn solve_subproblem(
         &self,
         cube: &Torus,
         graph: &CommGraph,
-        cache: &Mutex<HashMap<SubKey, Vec<NodeId>>>,
         stencils: &Arc<RouteStencilCache>,
-        stats: &mut PhaseStats,
-        deadline: Deadline,
-        milp_threads: usize,
     ) -> Vec<NodeId> {
-        let cfg = &self.config;
+        let (cfg, rec) = (self.cfg, &self.recorder);
         let key = sub_key(cube, graph);
         if cfg.cache_subproblems {
-            if let Some(hit) = cache.lock().get(&key) {
-                stats.milp_cache_hits += 1;
-                self.recorder.incr(counters::SUB_CACHE_HITS);
+            if let Some(hit) = self.sub_cache.lock().get(&key) {
+                rec.incr(counters::SUB_CACHE_HITS);
                 return hit.clone();
             }
         }
-        self.recorder.incr(counters::SUB_CACHE_MISSES);
+        rec.incr(counters::SUB_CACHE_MISSES);
         // fault injection counts actual solves (cache hits do no work)
         let fault = cfg.fault_plan.as_ref().and_then(|p| p.check());
         if fault == Some(Fault::WorkerPanic) {
             panic!(
                 "injected fault: worker panic at sub-problem {} ({} clusters)",
-                stats.milp_solves,
+                rec.counter(counters::SUBPROBLEMS_SOLVED),
                 graph.num_ranks()
             );
         }
-        stats.milp_solves += 1;
-        self.recorder.incr(counters::SUBPROBLEMS_SOLVED);
+        rec.incr(counters::SUBPROBLEMS_SOLVED);
+        let clusters = graph.num_ranks();
+        let downgrade = |rung: &str, why: &str| {
+            rec.incr(rung);
+            rec.incr(counters::DEGRADE_DOWNGRADED);
+            rec.event(format!("sub-problem ({clusters} clusters): {why}"));
+        };
 
         // Bottom rung: no time even for annealing.
-        if deadline.is_expired() {
-            stats.degradation.greedy += 1;
-            stats.degradation.downgraded += 1;
-            self.recorder.incr(counters::DEGRADE_GREEDY);
-            self.recorder.incr(counters::DEGRADE_DOWNGRADED);
-            stats.degradation.events.push(format!(
-                "sub-problem ({} clusters): deadline expired, greedy placement",
-                graph.num_ranks()
-            ));
+        if self.deadline.is_expired() {
+            downgrade(counters::DEGRADE_GREEDY, "deadline expired, greedy placement");
             let placement = greedy_place(cube, graph);
             if cfg.cache_subproblems {
-                cache.lock().insert(key, placement.clone());
+                self.sub_cache.lock().insert(key, placement.clone());
             }
             return placement;
         }
@@ -928,28 +838,18 @@ impl RahtmMapper {
                 iterations: cfg.anneal_iters,
                 seed: cfg.seed,
                 routing: cfg.routing,
-                deadline,
-                recorder: self.recorder.clone(),
+                deadline: self.deadline,
+                recorder: rec.clone(),
                 stencils: Some(Arc::clone(stencils)),
                 ..Default::default()
             },
         );
-        stats.anneal_accepted += sa.accepted;
-        stats.anneal_rejected += sa.rejected;
         let placement = if !cfg.use_milp {
             // annealing IS the configured top level here — not a downgrade
-            stats.degradation.anneal += 1;
-            self.recorder.incr(counters::DEGRADE_ANNEAL);
+            rec.incr(counters::DEGRADE_ANNEAL);
             sa.placement
         } else if fault == Some(Fault::Infeasible) {
-            stats.degradation.anneal += 1;
-            stats.degradation.downgraded += 1;
-            self.recorder.incr(counters::DEGRADE_ANNEAL);
-            self.recorder.incr(counters::DEGRADE_DOWNGRADED);
-            stats.degradation.events.push(format!(
-                "sub-problem ({} clusters): injected infeasibility, SA incumbent",
-                graph.num_ranks()
-            ));
+            downgrade(counters::DEGRADE_ANNEAL, "injected infeasibility, SA incumbent");
             sa.placement
         } else {
             // Top rung. An injected timeout hands the MILP an already
@@ -957,7 +857,7 @@ impl RahtmMapper {
             let milp_deadline = if fault == Some(Fault::SolverTimeout) {
                 Deadline::after(Duration::ZERO)
             } else {
-                deadline
+                self.deadline
             };
             let milp_res = milp_map(
                 cube,
@@ -968,15 +868,15 @@ impl RahtmMapper {
                     // serial default path stays bit-identical to earlier
                     // releases, while multi-threaded runs also get the
                     // symmetry pruning that multiplies their speedup.
-                    symmetry_break: milp_threads > 1,
+                    symmetry_break: self.milp_threads > 1,
                     incumbent: Some(sa.placement.clone()),
                     milp: MilpOptions {
                         max_nodes: cfg.milp_node_budget,
-                        threads: milp_threads,
+                        threads: self.milp_threads,
                         lp: SimplexOptions {
                             max_iters: cfg.milp_lp_iters,
                             deadline: milp_deadline,
-                            recorder: self.recorder.clone(),
+                            recorder: rec.clone(),
                             ..Default::default()
                         },
                         ..Default::default()
@@ -985,20 +885,10 @@ impl RahtmMapper {
             );
             match milp_res {
                 Ok(res) => {
-                    stats.milp_nodes += res.nodes;
-                    stats.milp_symmetry_pruned += res.symmetry_pruned;
                     if res.deadline_hit {
-                        stats.degradation.anneal += 1;
-                        stats.degradation.downgraded += 1;
-                        self.recorder.incr(counters::DEGRADE_ANNEAL);
-                        self.recorder.incr(counters::DEGRADE_DOWNGRADED);
-                        stats.degradation.events.push(format!(
-                            "sub-problem ({} clusters): MILP deadline hit, kept incumbent",
-                            graph.num_ranks()
-                        ));
+                        downgrade(counters::DEGRADE_ANNEAL, "MILP deadline hit, kept incumbent");
                     } else {
-                        stats.degradation.milp += 1;
-                        self.recorder.incr(counters::DEGRADE_MILP);
+                        rec.incr(counters::DEGRADE_MILP);
                     }
                     // Keep whichever is better under the oblivious scoring
                     // model (the MILP optimizes the LP split, SA the
@@ -1012,20 +902,14 @@ impl RahtmMapper {
                     }
                 }
                 Err(e) => {
-                    stats.degradation.anneal += 1;
-                    stats.degradation.downgraded += 1;
-                    self.recorder.incr(counters::DEGRADE_ANNEAL);
-                    self.recorder.incr(counters::DEGRADE_DOWNGRADED);
-                    stats.degradation.events.push(format!(
-                        "sub-problem ({} clusters): MILP failed ({e}), SA incumbent",
-                        graph.num_ranks()
-                    ));
+                    let why = format!("MILP failed ({e}), SA incumbent");
+                    downgrade(counters::DEGRADE_ANNEAL, &why);
                     sa.placement
                 }
             }
         };
         if cfg.cache_subproblems {
-            cache.lock().insert(key, placement.clone());
+            self.sub_cache.lock().insert(key, placement.clone());
         }
         placement
     }

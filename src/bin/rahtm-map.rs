@@ -340,10 +340,11 @@ fn run(args: &Args) -> Result<(), RahtmError> {
         })?;
         if !args.quiet {
             println!(
-                "trace        : {path} ({} spans, {} counters, {} gauges)",
+                "trace        : {path} ({} spans, {} counters, {} gauges, {} events)",
                 journal.spans.len(),
                 journal.counters.len(),
-                journal.gauges.len()
+                journal.gauges.len(),
+                journal.events.len()
             );
         }
     }

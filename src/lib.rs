@@ -42,8 +42,8 @@ pub mod prelude {
     };
     pub use rahtm_commgraph::{patterns, profile::Profile, Benchmark, CommGraph, RankGrid};
     pub use rahtm_core::{
-        DegradationReport, Fault, FaultPlan, RahtmConfig, RahtmError, RahtmMapper, RahtmResult,
-        TaskMapping,
+        DegradationReport, Fault, FaultPlan, PhaseStats, RahtmConfig, RahtmError, RahtmMapper,
+        RahtmResult, TaskMapping,
     };
     pub use rahtm_lp::Deadline;
     pub use rahtm_netsim::{AppModel, CommTimeModel, DesConfig, DesRouting};

@@ -162,6 +162,9 @@ fn walkthrough_journal_snapshot() {
     assert_eq!(gauge_values("pipeline.predicted_mcl"), vec![10.0]);
     assert_eq!(gauge_values("merge.mcl.side2"), vec![10.0]);
     assert_eq!(gauge_values("merge.mcl.side4"), vec![10.0]);
+
+    // -- events: an undegraded run records none --
+    assert!(journal.events.is_empty(), "{:?}", journal.events);
 }
 
 /// The journal survives a JSON round-trip bit-for-bit.
