@@ -160,9 +160,9 @@ fn perf(args: &[String]) {
     let res = RahtmMapper::new(cfg).map(&mini.machine, &gp, None);
     let pipeline_secs = t.elapsed().as_secs_f64();
 
-    // --- MILP branch-and-bound nodes/sec: serial vs work-stealing ---
+    // --- MILP branch-and-bound nodes/sec: 1 vs 4 work-stealing workers ---
     // Same Table II instance and no symmetry pins in either run, so both
-    // solvers chase the same search tree; the metric is pure node
+    // runs chase the same search tree; the metric is pure node
     // throughput. Speedup is meaningful only with >= `threads` free cores
     // (cores_available is recorded alongside).
     let milp_cube = Torus::two_ary_cube(3);
@@ -198,10 +198,10 @@ fn perf(args: &[String]) {
         .unwrap_or(1);
 
     // --- mini-1k MILP rung under a wall-clock limit ---
-    // The full MILP ladder at mini scale with a finite budget, serial
-    // vs parallel. The rung completes inside the limit when
-    // milp_rung_downgrades == 0; the parallel run additionally shows
-    // the incumbent quality reached within the same node budgets.
+    // The full MILP ladder at mini scale with a finite budget, 1 vs 4
+    // branch-and-bound workers (same formulation, symmetry pins
+    // included). The rung completes inside the limit when
+    // milp_rung_downgrades == 0.
     let milp_rung_limit_secs = 60.0;
     let milp_rung = |threads: usize| {
         let cfg_milp = RahtmConfig {
@@ -293,7 +293,7 @@ fn perf(args: &[String]) {
                     "milp",
                     Value::String(
                         "2-ary 3-cube, random(8 clusters, 12 flows), no symmetry pins, \
-                         200-node budget, serial vs 4 work-stealing threads, best of 2"
+                         200-node budget, 1 vs 4 work-stealing workers, best of 2"
                             .into(),
                     ),
                 ),
@@ -301,7 +301,7 @@ fn perf(args: &[String]) {
                     "milp_rung",
                     Value::String(
                         "mini-1k CG, full MILP ladder, 60 s wall limit, \
-                         serial solver vs 4 B&B threads + symmetry pruning"
+                         1 vs 4 B&B workers, symmetry pruning in both"
                             .into(),
                     ),
                 ),
@@ -313,15 +313,15 @@ fn perf(args: &[String]) {
         anneal_rate, merge_rate, pipeline_secs, res.predicted_mcl
     );
     println!(
-        "milp:     {:>12.0} nodes/sec serial, {:.0} nodes/sec with 4 threads ({:.2}x on {} core(s))",
+        "milp:     {:>12.0} nodes/sec with 1 worker, {:.0} nodes/sec with 4 ({:.2}x on {} core(s))",
         milp_serial_rate,
         milp_parallel_rate,
         milp_parallel_rate / milp_serial_rate,
         cores_available
     );
     println!(
-        "milp rung: serial {milp_rung_serial_secs:.3} s (predicted MCL {:.3}); \
-         4 threads {milp_rung_secs:.3} s of {milp_rung_limit_secs:.0} s limit, \
+        "milp rung: 1 worker {milp_rung_serial_secs:.3} s (predicted MCL {:.3}); \
+         4 workers {milp_rung_secs:.3} s of {milp_rung_limit_secs:.0} s limit, \
          {milp_rung_downgrades} downgrade(s), predicted MCL {:.3}",
         res_serial.predicted_mcl, res_milp.predicted_mcl
     );

@@ -11,13 +11,15 @@
 //! * [`simplex`] — a two-phase, bounded-variable *revised* primal simplex
 //!   with a dense maintained basis inverse; Dantzig pricing with a Bland
 //!   anti-cycling fallback.
-//! * [`milp`] — branch-and-bound over the simplex relaxation:
-//!   most-fractional branching, depth-first traversal with best-bound
-//!   pruning, warm incumbents (RAHTM seeds one from simulated annealing),
-//!   and deterministic node budgets in place of wall-clock limits. With an
-//!   exhausted budget the solver returns the best incumbent — exactly how
-//!   practitioners run CPLEX on hard instances (the paper's solves took up
-//!   to 35 hours; ours are budgeted to keep the test suite fast).
+//! * [`milp`] — one branch-and-bound over the simplex relaxation:
+//!   most-fractional branching, best-bound pruning, work-stealing workers
+//!   (any count, one included, with the same optimum) that warm-start each
+//!   node's LP from its parent's basis, warm incumbents (RAHTM seeds one
+//!   from simulated annealing), and deterministic node budgets alongside
+//!   optional wall-clock deadlines. With an exhausted budget the solver
+//!   returns the best incumbent — exactly how practitioners run CPLEX on
+//!   hard instances (the paper's solves took up to 35 hours; ours are
+//!   budgeted to keep the test suite fast).
 //!
 //! The solver is deliberately scoped to RAHTM's problem sizes (hundreds to
 //! a few thousand rows); it favours clarity and correctness over
@@ -30,12 +32,10 @@
 
 pub mod deadline;
 pub mod milp;
-pub mod parallel;
 pub mod problem;
 pub mod simplex;
 
 pub use deadline::Deadline;
 pub use milp::{solve_milp, MilpOptions, MilpResult, MilpStatus};
-pub use parallel::solve_milp_parallel;
 pub use problem::{Col, Problem, Row, Sense};
-pub use simplex::{solve_lp, BasisSnapshot, LpStatus, SimplexOptions, SimplexScratch, Solution};
+pub use simplex::{solve_lp, LpStatus, SimplexOptions, Solution};

@@ -806,7 +806,7 @@ impl Tableau {
 /// the rest side of every structural/slack column; artificial columns are
 /// never included (a snapshot is only taken when none is basic).
 #[derive(Clone, Debug)]
-pub struct BasisSnapshot {
+pub(crate) struct BasisSnapshot {
     basis: Vec<usize>,
     at_upper: Vec<bool>,
 }
@@ -819,9 +819,9 @@ pub struct BasisSnapshot {
 ///
 /// Every entry point is a pure function of the installed bounds and the
 /// given snapshot — no hidden state leaks between solves — which is what
-/// lets the parallel branch-and-bound return interleaving-independent
+/// lets the work-stealing branch-and-bound return interleaving-independent
 /// results.
-pub struct SimplexScratch {
+pub(crate) struct SimplexScratch {
     tab: Tableau,
     base_lower: Vec<f64>,
     base_upper: Vec<f64>,

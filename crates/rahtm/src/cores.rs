@@ -2,8 +2,8 @@
 //!
 //! Three independent subsystems spawn worker threads: the per-slice
 //! pipeline scope ([`crate::pipeline`]), the merge-phase orientation
-//! search ([`crate::merge`]), and the parallel branch-and-bound inside
-//! the MILP ([`rahtm_lp::parallel`]). Each used to size itself against
+//! search ([`crate::merge`]), and the work-stealing branch-and-bound
+//! inside the MILP ([`rahtm_lp::milp`]). Each used to size itself against
 //! `available_parallelism` in isolation, which oversubscribes the machine
 //! as soon as two of them overlap (slice workers each launching a
 //! multi-threaded MILP). This module is the single place that answer
@@ -29,7 +29,7 @@ pub fn share(parts: usize) -> usize {
 /// oversubscribes the machine); an explicit request is honored verbatim —
 /// asking for more threads than cores merely timeshares, and solver
 /// results are thread-count-independent, so silently downgrading the
-/// request (e.g. parallel → serial on a 1-core box) would be the bigger
+/// request (e.g. four workers → one on a 1-core box) would be the bigger
 /// surprise.
 pub fn resolve(requested: usize, parts: usize) -> usize {
     if requested == 0 {

@@ -56,14 +56,13 @@ pub struct RahtmConfig {
     pub milp_node_budget: usize,
     /// Simplex pivot budget per LP.
     pub milp_lp_iters: usize,
-    /// Branch-and-bound worker threads per Table II solve. `1` (the
-    /// default) keeps the serial solver — bit-identical to every earlier
-    /// release. `0` means auto: each slice worker gets an even share of
-    /// the cores ([`crate::cores::share`]), so slice-level and node-level
-    /// parallelism never oversubscribe the machine between them. Any
-    /// value above 1 enables the work-stealing parallel solver *and*
-    /// hyperoctahedral symmetry breaking in the sub-problem MILPs (the
-    /// pruning that makes the extra workers pay off).
+    /// Branch-and-bound worker threads per Table II solve (default 1).
+    /// `0` means auto: each slice worker gets an even share of the cores
+    /// ([`crate::cores::share`]), so slice-level and node-level
+    /// parallelism never oversubscribe the machine between them. The
+    /// count sets only the number of workers: every count solves the same
+    /// formulation, symmetry breaking included (`rahtm_lp::milp` states
+    /// when the answers are bit-identical).
     pub milp_threads: usize,
     /// Simulated-annealing proposals per sub-problem (incumbent and/or
     /// fallback).
@@ -183,8 +182,7 @@ pub struct PhaseStats {
     /// Total branch-and-bound nodes across solves.
     pub milp_nodes: usize,
     /// Placement columns eliminated by hyperoctahedral symmetry breaking
-    /// across all Table II solves (non-zero only with `milp_threads > 1`,
-    /// which enables orbital fixing).
+    /// (vertex pinning and orbital fixing) across all Table II solves.
     pub milp_symmetry_pruned: usize,
     /// Orientation candidates evaluated in phase 3.
     pub merge_candidates: usize,
@@ -864,11 +862,6 @@ impl RunContext<'_> {
                 graph,
                 &MilpMapOptions {
                     enforce_minimal: cfg.enforce_minimal,
-                    // Orbital fixing rides with the parallel solver: the
-                    // serial default path stays bit-identical to earlier
-                    // releases, while multi-threaded runs also get the
-                    // symmetry pruning that multiplies their speedup.
-                    symmetry_break: self.milp_threads > 1,
                     incumbent: Some(sa.placement.clone()),
                     milp: MilpOptions {
                         max_nodes: cfg.milp_node_budget,
@@ -881,6 +874,7 @@ impl RunContext<'_> {
                         },
                         ..Default::default()
                     },
+                    ..Default::default()
                 },
             );
             match milp_res {
@@ -1240,28 +1234,30 @@ mod tests {
     }
 
     #[test]
-    fn multithreaded_milp_config_runs_and_prunes_symmetry() {
+    fn milp_config_prunes_symmetry_for_any_thread_count() {
         let machine = BgqMachine::toy_4x4();
         let g = patterns::halo_2d(4, 4, 10.0, true);
-        let cfg = RahtmConfig {
-            use_milp: true,
-            milp_threads: 2,
-            milp_node_budget: 25,
-            anneal_iters: 2_000,
-            beam_width: 8,
-            ..Default::default()
-        };
-        let res = RahtmMapper::new(cfg.clone()).map(&machine, &g, Some(RankGrid::new(&[4, 4])));
-        res.mapping.validate(&machine);
-        assert!(res.stats.milp_nodes > 0);
-        assert!(
-            res.stats.milp_symmetry_pruned > 0,
-            "multi-threaded runs enable orbital fixing: {:?}",
-            res.stats
-        );
-        // the parallel solver is deterministic: repeat runs agree
-        let again = RahtmMapper::new(cfg).map(&machine, &g, Some(RankGrid::new(&[4, 4])));
-        assert_eq!(res.mapping, again.mapping);
+        for milp_threads in [1, 2] {
+            let cfg = RahtmConfig {
+                use_milp: true,
+                milp_threads,
+                milp_node_budget: 25,
+                anneal_iters: 2_000,
+                beam_width: 8,
+                ..Default::default()
+            };
+            let res = RahtmMapper::new(cfg.clone()).map(&machine, &g, Some(RankGrid::new(&[4, 4])));
+            res.mapping.validate(&machine);
+            assert!(res.stats.milp_nodes > 0);
+            assert!(
+                res.stats.milp_symmetry_pruned > 0,
+                "{milp_threads} worker(s) must run with orbital fixing: {:?}",
+                res.stats
+            );
+            // the branch-and-bound is deterministic: repeat runs agree
+            let again = RahtmMapper::new(cfg).map(&machine, &g, Some(RankGrid::new(&[4, 4])));
+            assert_eq!(res.mapping, again.mapping);
+        }
     }
 
     #[test]

@@ -57,8 +57,8 @@ fn usage() -> &'static str {
      [--fast] [--milp] [--milp-threads N] [--beam N] [--time-limit SECS]\n       \
      [--trace-json FILE] [--quiet]\n\n\
      --milp-threads N   branch-and-bound workers per MILP solve\n\
-                        (1 = serial, 0 = auto per-slice core share;\n\
-                        >1 also enables symmetry pruning)"
+                        (default 1, 0 = auto per-slice core share;\n\
+                        same formulation for any count)"
 }
 
 fn parse_args() -> Result<Args, String> {

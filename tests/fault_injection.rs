@@ -60,7 +60,7 @@ fn milp_timeout_falls_back_to_annealing() {
 /// (a') The same expired-deadline injection under the *multi-threaded*
 /// branch-and-bound: every worker observes the deadline, the solve
 /// returns the warm annealing incumbent instead of hanging or erroring,
-/// and the downgrade is reported exactly as in the serial case.
+/// and the downgrade is reported exactly as with one worker.
 #[test]
 fn expired_deadline_returns_warm_incumbent_under_parallel_search() {
     let machine = BgqMachine::toy_4x4();

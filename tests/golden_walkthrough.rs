@@ -97,9 +97,10 @@ fn walkthrough_journal_snapshot() {
         (counters::MERGE_CACHE_MISSES, 2),
         (counters::MERGE_CACHE_HITS, 3),
         (counters::DEGRADE_MILP, 2),
-        (counters::BNB_NODES_EXPLORED, 14),
-        (counters::SIMPLEX_SOLVES, 14),
-        (counters::SIMPLEX_PIVOTS, 728),
+        (counters::BNB_NODES_EXPLORED, 2),
+        (counters::SIMPLEX_SOLVES, 2),
+        (counters::SIMPLEX_PIVOTS, 114),
+        (counters::MILP_SYMMETRY_PRUNED, 2),
         (counters::MERGE_ORIENTATIONS, 32),
         (counters::MERGE_CANDIDATES_EVALUATED, 1088),
         (counters::MERGE_CANDIDATES_KEPT, 192),
