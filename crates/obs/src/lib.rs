@@ -48,6 +48,10 @@ pub mod counters {
     pub const MERGE_CANDIDATES_EVALUATED: &str = "merge.candidates_evaluated";
     /// Candidates surviving beam truncation (beam entries carried forward).
     pub const MERGE_CANDIDATES_KEPT: &str = "merge.candidates_kept";
+    /// Beam-step candidates ranked out by a worker's cut line before
+    /// their routing finished (whole skipped beam entries included); they
+    /// count in `merge.candidates_evaluated` too.
+    pub const MERGE_CANDIDATES_PRUNED: &str = "merge.candidates_pruned";
     /// Total orientation-set sizes considered across merged children.
     pub const MERGE_ORIENTATIONS: &str = "merge.orientations_considered";
     /// Sub-problem placements answered from the symmetry cache.

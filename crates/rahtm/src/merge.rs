@@ -16,13 +16,17 @@
 //! orbit's score, so the beam is exactly the exhaustive one (DESIGN.md
 //! §12).
 //!
-//! Evaluation is incremental: each beam entry carries its accumulated
-//! channel loads; a candidate's MCL is computed by routing only the flows
-//! *incident to the incoming block* into a scratch accumulator and taking
-//! the elementwise max against the entry's loads — no full re-routing.
-//! Positions are dense `Vec`s indexed by cluster id and the channel list
-//! is precomputed, keeping the per-candidate cost at
-//! `O(incident flows × path box + channels)`.
+//! Later steps are incremental and bounded: each beam entry carries its
+//! accumulated channel loads; a candidate's MCL is computed by routing
+//! only the flows *incident to the incoming block* into a scratch
+//! accumulator, tracking the max of entry load plus scratch load over the
+//! channels it touches — no full re-routing. That running max never
+//! exceeds the final MCL, so a worker stops routing a candidate as soon as
+//! it reaches the worker's cut line (the worst of the best `N` candidates
+//! it has finished), and skips the rest of a beam entry whose own MCL
+//! reaches it: such a candidate provably cannot make the beam (DESIGN.md
+//! §13). Positions are dense `Vec`s indexed by cluster id, keeping the
+//! per-candidate cost at `O(incident flows × path box)` at most.
 
 use crate::block::Block;
 use rahtm_commgraph::{CommGraph, Flow, Rank};
@@ -107,6 +111,12 @@ pub struct MergeResult {
     /// Candidates surviving beam truncation across all steps (the beam
     /// entries actually carried forward).
     pub candidates_kept: usize,
+    /// Beam-step candidates ranked out by the cut line (DESIGN.md §13):
+    /// part of `candidates_evaluated`, but never routed to their full MCL.
+    /// A later step of a wide beam splits its entries across workers, each
+    /// with its own cut line, so this depends on the worker count once
+    /// `beam_width ≥ 16`.
+    pub candidates_pruned: usize,
     /// First-pair candidates scored through their reflection-orbit
     /// representative instead of being routed themselves.
     pub symmetry_skipped: usize,
@@ -151,11 +161,22 @@ pub fn merge_blocks(
     parent_extent: &Coord,
     opts: &MergeOptions,
 ) -> MergeResult {
-    merge_with(topo, graph, children, parent_origin, parent_extent, opts, rank_first_pair)
+    merge_with(
+        topo,
+        graph,
+        children,
+        parent_origin,
+        parent_extent,
+        opts,
+        rank_first_pair,
+        true,
+    )
 }
 
 /// [`merge_blocks`] with the first-pair ranking supplied by the caller
-/// (the tests pass an exhaustive reference).
+/// (the tests pass an exhaustive reference); `bound` off holds every beam
+/// step's cut line at +∞, so every candidate is routed in full.
+#[allow(clippy::too_many_arguments)]
 fn merge_with(
     topo: &Torus,
     graph: &CommGraph,
@@ -164,6 +185,7 @@ fn merge_with(
     parent_extent: &Coord,
     opts: &MergeOptions,
     rank_first: impl Fn(&FirstPair<'_>) -> (Vec<Ranked>, usize),
+    bound: bool,
 ) -> MergeResult {
     assert!(!children.is_empty());
     let local_cache;
@@ -200,6 +222,7 @@ fn merge_with(
             mcl,
             candidates_evaluated: 0,
             candidates_kept: 0,
+            candidates_pruned: 0,
             symmetry_skipped: 0,
             deadline_hit: expired_on_entry,
         };
@@ -344,6 +367,12 @@ fn merge_with(
     }
 
     // --- Subsequent blocks: incoming orientations × beam entries. ---
+    let keep = opts.beam_width.max(1);
+    let mut width_of = vec![1.0f64; topo.num_channel_slots()];
+    for &(id, w) in &chans {
+        width_of[id as usize] = w;
+    }
+    let mut candidates_pruned = 0usize;
     let mut deadline_hit = false;
     let mut placed: Vec<usize> = vec![a, b];
     for &next in order.iter().skip(2) {
@@ -373,10 +402,11 @@ fn merge_with(
             })
             .collect();
         // Parallelize over beam entries (each worker owns a scratch
-        // accumulator and a positions array), deterministic sort after.
+        // accumulator, a positions array and a cut line), deterministic
+        // sort after.
         let n_threads = num_worker_threads(beam.len(), opts.thread_cap);
         let chunk = beam.len().div_ceil(n_threads);
-        let mut ranked: Vec<Ranked> = crossbeam::thread::scope(|scope| {
+        let (mut ranked, pruned): (Vec<Ranked>, usize) = crossbeam::thread::scope(|scope| {
             let mut handles = Vec::new();
             for t in 0..n_threads {
                 let lo = t * chunk;
@@ -385,12 +415,14 @@ fn merge_with(
                 let placed = &placed;
                 let positions = &positions;
                 let incident = &incident;
-                let chans = &chans;
-                let orient_sets = &orient_sets;
+                let width_of = &width_of;
+                let n_orient = orient_sets[next].len();
                 handles.push(scope.spawn(move |_| {
                     let mut node_of = vec![UNPLACED; nclusters];
                     let mut scratch = ChannelLoads::new(topo);
+                    let mut cut = bound.then(|| CutLine::new(keep));
                     let mut out = Vec::new();
+                    let mut pruned = 0usize;
                     for (ei, entry) in beam.iter().enumerate().take(hi).skip(lo) {
                         // set placed positions for this entry
                         for &pc in placed {
@@ -398,34 +430,56 @@ fn merge_with(
                                 node_of[m as usize] = nd;
                             }
                         }
-                        for oi in 0..orient_sets[next].len() {
+                        for oi in 0..n_orient {
+                            let threshold = cut.as_ref().map_or(f64::INFINITY, CutLine::threshold);
+                            if entry.mcl >= threshold {
+                                // every orientation left scores at least
+                                // the entry's own MCL
+                                pruned += n_orient - oi;
+                                break;
+                            }
                             for &(m, nd) in &positions[next][oi] {
                                 node_of[m as usize] = nd;
                             }
                             scratch.clear();
-                            for &&(s, d, bytes) in incident {
-                                stencils.route_flow(
+                            // incremental MCL: untouched channels keep the
+                            // entry's loads, and a touched channel's load
+                            // only grows, so the running max is a lower
+                            // bound at every flow boundary and exact after
+                            // the last flow
+                            let mut mcl = entry.mcl;
+                            let mut flows = incident.iter();
+                            let cut_off = loop {
+                                if mcl >= threshold {
+                                    break true;
+                                }
+                                let Some(&&(s, d, bytes)) = flows.next() else {
+                                    break false;
+                                };
+                                stencils.for_each_load(
                                     topo,
                                     opts.routing,
                                     node_of[s as usize],
                                     node_of[d as usize],
                                     bytes,
-                                    &mut scratch,
+                                    |slot, v| {
+                                        scratch.add(slot, v);
+                                        let load = (entry.loads.get(slot) + scratch.get(slot))
+                                            / width_of[slot as usize];
+                                        if load > mcl {
+                                            mcl = load;
+                                        }
+                                    },
                                 );
-                            }
-                            // incremental MCL: untouched channels keep the
-                            // entry's loads
-                            let mut mcl = entry.mcl;
-                            for &(id, w) in chans {
-                                let add = scratch.get(id);
-                                if add > 0.0 {
-                                    let v = (entry.loads.get(id) + add) / w;
-                                    if v > mcl {
-                                        mcl = v;
-                                    }
+                            };
+                            if cut_off {
+                                pruned += 1;
+                            } else {
+                                if let Some(cut) = &mut cut {
+                                    cut.record(mcl);
                                 }
+                                out.push((mcl, ei, oi));
                             }
-                            out.push((mcl, ei, oi));
                             for &(m, _) in &positions[next][oi] {
                                 node_of[m as usize] = UNPLACED;
                             }
@@ -436,21 +490,22 @@ fn merge_with(
                             }
                         }
                     }
-                    out
+                    (out, pruned)
                 }));
             }
             handles
                 .into_iter()
-                .flat_map(|h| {
-                    h.join()
-                        .unwrap_or_else(|p| std::panic::resume_unwind(p))
+                .fold((Vec::new(), 0), |(mut ranked, pruned), h| {
+                    let (out, p) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                    ranked.extend(out);
+                    (ranked, pruned + p)
                 })
-                .collect()
         })
         .unwrap_or_else(|p| std::panic::resume_unwind(p));
-        candidates_evaluated += ranked.len();
+        candidates_pruned += pruned;
+        candidates_evaluated += ranked.len() + pruned;
         sort_ranked(&mut ranked);
-        ranked.truncate(opts.beam_width.max(1));
+        ranked.truncate(keep);
         let mut new_beam = Vec::with_capacity(ranked.len());
         for (_, ei, oi) in ranked {
             let entry = &beam[ei];
@@ -539,6 +594,8 @@ fn merge_with(
     opts.recorder
         .add(counters::MERGE_CANDIDATES_KEPT, candidates_kept as u64);
     opts.recorder
+        .add(counters::MERGE_CANDIDATES_PRUNED, candidates_pruned as u64);
+    opts.recorder
         .add(counters::MERGE_SYMMETRY_SKIPPED, symmetry_skipped as u64);
     opts.recorder.add(counters::DEADLINE_CHECKS, deadline_polls as u64);
     if deadline_hit {
@@ -549,8 +606,48 @@ fn merge_with(
         mcl,
         candidates_evaluated,
         candidates_kept,
+        candidates_pruned,
         symmetry_skipped,
         deadline_hit,
+    }
+}
+
+/// The cut line of one beam-step worker: the MCLs of the best `keep`
+/// candidates it has finished, ascending. The worker visits candidates in
+/// ascending `(entry, orientation)` order, so a later candidate that
+/// provably scores at least the largest of them has `keep` candidates
+/// ahead of it in the ranking and cannot make the beam (DESIGN.md §13).
+struct CutLine {
+    keep: usize,
+    best: Vec<f64>,
+}
+
+impl CutLine {
+    fn new(keep: usize) -> Self {
+        CutLine {
+            keep,
+            best: Vec::with_capacity(keep),
+        }
+    }
+
+    /// The largest kept MCL, or +∞ until `keep` candidates have finished.
+    fn threshold(&self) -> f64 {
+        if self.best.len() < self.keep {
+            f64::INFINITY
+        } else {
+            self.best[self.keep - 1]
+        }
+    }
+
+    fn record(&mut self, mcl: f64) {
+        if self.best.len() == self.keep {
+            if mcl >= self.best[self.keep - 1] {
+                return;
+            }
+            self.best.pop();
+        }
+        let at = self.best.partition_point(|&m| m <= mcl);
+        self.best.insert(at, mcl);
     }
 }
 
@@ -1223,12 +1320,14 @@ mod tests {
     }
 
     impl Case {
-        /// Merges with `rank` ranking the first pair; also returns that
-        /// ranking (empty when the merge never searched).
+        /// Merges with `rank` ranking the first pair and the beam-step
+        /// cut line on or off; also returns the first-pair ranking (empty
+        /// when the merge never searched).
         fn merge(
             &self,
             opts: &MergeOptions,
             rank: fn(&FirstPair<'_>) -> (Vec<Ranked>, usize),
+            bound: bool,
         ) -> (MergeResult, Vec<Ranked>) {
             let seen = std::cell::RefCell::new(Vec::new());
             let r = merge_with(
@@ -1243,6 +1342,7 @@ mod tests {
                     *seen.borrow_mut() = out.0.clone();
                     out
                 },
+                bound,
             );
             (r, seen.into_inner())
         }
@@ -1250,8 +1350,8 @@ mod tests {
         /// Asserts the quotient search returns exactly what the exhaustive
         /// one does; returns the quotient's skipped count.
         fn assert_quotient_exact(&self, opts: &MergeOptions) -> usize {
-            let (fast, fast_ranked) = self.merge(opts, rank_first_pair);
-            let (slow, slow_ranked) = self.merge(opts, exhaustive_first_pair);
+            let (fast, fast_ranked) = self.merge(opts, rank_first_pair, true);
+            let (slow, slow_ranked) = self.merge(opts, exhaustive_first_pair, true);
             let bits = |r: &[Ranked]| -> Vec<(u64, usize, usize)> {
                 r.iter().map(|&(m, x, y)| (m.to_bits(), x, y)).collect()
             };
@@ -1262,6 +1362,19 @@ mod tests {
             assert_eq!(fast.candidates_kept, slow.candidates_kept);
             assert_eq!(slow.symmetry_skipped, 0);
             fast.symmetry_skipped
+        }
+
+        /// Asserts the beam-step cut line changes nothing against routing
+        /// every candidate in full; returns the bounded run's pruned count.
+        fn assert_bound_exact(&self, opts: &MergeOptions) -> usize {
+            let (fast, _) = self.merge(opts, rank_first_pair, true);
+            let (slow, _) = self.merge(opts, rank_first_pair, false);
+            assert_eq!(fast.block.members, slow.block.members);
+            assert_eq!(fast.mcl.to_bits(), slow.mcl.to_bits());
+            assert_eq!(fast.candidates_evaluated, slow.candidates_evaluated);
+            assert_eq!(fast.candidates_kept, slow.candidates_kept);
+            assert_eq!(slow.candidates_pruned, 0);
+            fast.candidates_pruned
         }
     }
 
@@ -1367,6 +1480,49 @@ mod tests {
             let dor = MergeOptions { routing: Routing::DimOrder, ..opts };
             proptest::prop_assert_eq!(case.assert_quotient_exact(&dor), 0);
         }
+
+        /// The beam-step cut line changes nothing: same merged block, MCL
+        /// bits and candidate counts as routing every candidate in full,
+        /// for one worker or all of them, under either routing model and
+        /// any orientation-set restriction.
+        #[test]
+        fn beam_bound_matches_unbounded_search(
+            seed in 0..u64::MAX,
+            proper in proptest::bool::ANY,
+            flips_only in proptest::bool::ANY,
+            beam_width in proptest::sample::select(vec![1usize, 4, 64]),
+            thread_cap in proptest::sample::select(vec![1usize, 0]),
+        ) {
+            let case = random_case(seed);
+            let opts = MergeOptions {
+                beam_width,
+                proper_rotations_only: proper,
+                full_group_member_limit: if flips_only { 0 } else { 64 },
+                thread_cap,
+                ..Default::default()
+            };
+            case.assert_bound_exact(&opts);
+            case.assert_bound_exact(&MergeOptions { routing: Routing::DimOrder, ..opts });
+        }
+    }
+
+    #[test]
+    fn beam_bound_prunes_the_quadrant_merge() {
+        // four 2x2 quadrants of a 4x4 mesh: with a beam of one, the later
+        // steps' cut line must rank candidates out without finishing them
+        let case = Case {
+            topo: Torus::mesh(&[4, 4]),
+            graph: patterns::random(16, 40, 1.0, 10.0, 11),
+            children: quadrant_children(),
+            parent_origin: c(&[0, 0]),
+            parent_extent: c(&[4, 4]),
+        };
+        let opts = MergeOptions {
+            beam_width: 1,
+            ..Default::default()
+        };
+        let pruned = case.assert_bound_exact(&opts);
+        assert!(pruned > 0, "the cut line never fired");
     }
 
     #[test]

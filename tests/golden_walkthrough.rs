@@ -18,9 +18,13 @@ fn walkthrough() -> (BgqMachine, CommGraph, RankGrid) {
 }
 
 fn run_traced() -> (RahtmResult, Journal) {
+    run_traced_with(RahtmConfig::default())
+}
+
+fn run_traced_with(config: RahtmConfig) -> (RahtmResult, Journal) {
     let (machine, app, grid) = walkthrough();
     let recorder = Recorder::enabled();
-    let res = RahtmMapper::new(RahtmConfig::default())
+    let res = RahtmMapper::new(config)
         .with_recorder(recorder.clone())
         .run(&machine, &app, Some(grid))
         .expect("walkthrough mapping succeeds");
@@ -120,6 +124,10 @@ fn walkthrough_journal_snapshot() {
         "counter {} drifted",
         counters::MERGE_SYMMETRY_SKIPPED
     );
+    // merge.candidates_pruned is pinned by walkthrough_beam_8_prune_count:
+    // this run's beam of 64 splits its later steps across as many merge
+    // workers as there are cores (up to 8), each with its own cut line
+
     // anneal totals and deadline polls are deterministic too but tied to
     // tuning constants that shift legitimately; pin presence + positivity
     for name in [
@@ -166,6 +174,29 @@ fn walkthrough_journal_snapshot() {
 
     // -- events: an undegraded run records none --
     assert!(journal.events.is_empty(), "{:?}", journal.events);
+}
+
+/// With a beam of 8 each later step of the side-4 merge runs on one merge
+/// worker on any machine, so the number of candidates its cut line ranks
+/// out before their routing finishes is deterministic.
+#[test]
+fn walkthrough_beam_8_prune_count() {
+    let (res, journal) = run_traced_with(RahtmConfig {
+        beam_width: 8,
+        ..Default::default()
+    });
+    assert_eq!(res.predicted_mcl, 10.0);
+    for (name, expect) in [
+        (counters::MERGE_CANDIDATES_EVALUATED, 192),
+        (counters::MERGE_CANDIDATES_KEPT, 24),
+        (counters::MERGE_CANDIDATES_PRUNED, 89),
+    ] {
+        assert_eq!(
+            journal.counter(name),
+            Some(expect),
+            "counter {name} drifted"
+        );
+    }
 }
 
 /// The journal survives a JSON round-trip bit-for-bit.
