@@ -4,7 +4,7 @@
 //! but routing-*oblivious* tools of §II-B: it minimizes hop-bytes by
 //! pulling heavy communication partners close together. Section III-A
 //! shows why this is the wrong objective under minimum adaptive routing —
-//! the ablation benches quantify it. The random mapping provides the
+//! `harness ablation` quantifies it. The random mapping provides the
 //! worst-case-ish floor.
 
 use rahtm_commgraph::CommGraph;

@@ -15,7 +15,9 @@
 //!   mcl           absolute MCL / hop-bytes per mapping
 //!   ablation      beam / scoring / tiling / MILP knob sweeps
 //!   validate      flow model vs packet simulator cross-check
-//!   opportunity   §VI mapping-opportunity prediction per benchmark\n//!   trace         run one mapping with tracing on; [--trace-json FILE] exports the journal\n//!   paper-suite   fig10 + fig8 + mapping cost from one pass (for --scale paper)
+//!   opportunity   §VI mapping-opportunity prediction per benchmark
+//!   trace         run one mapping with tracing on; [--trace-json FILE] exports the journal
+//!   paper-suite   fig10 + fig8 + mapping cost from one pass (for --scale paper)
 //!   all           the paper's tables and figures in sequence
 //! ```
 
@@ -25,13 +27,10 @@ use rahtm_bench::experiments::{
 };
 use rahtm_bench::report::{pct, render_table, secs};
 use rahtm_commgraph::{patterns, Benchmark};
-use rahtm_core::anneal::{anneal_map, AnnealOptions};
-use rahtm_core::block::Block;
-use rahtm_core::merge::{merge_blocks, MergeOptions, PositionedBlock};
 use rahtm_core::milp::{milp_map, MilpMapOptions};
 use rahtm_core::{RahtmConfig, RahtmMapper};
 use rahtm_obs::Recorder;
-use rahtm_topology::{Coord, Torus};
+use rahtm_topology::Torus;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -71,7 +70,6 @@ fn main() {
         "trace" => trace(&scale, &cfg, &args),
         "paper-suite" => paper_suite(&scale, &cfg),
         "opt-time" => opt_time(&scale, &cfg),
-        "perf" => perf(&args),
         "all" => {
             table1();
             table2_check();
@@ -81,284 +79,9 @@ fn main() {
             opt_time(&scale, &cfg);
         }
         _ => {
-            eprintln!("usage: harness <table1|table2-check|fig1|fig8|fig9|fig10|mcl|ablation|validate|opportunity|trace|opt-time|perf|all> [--scale micro|mini|paper] [--milp] [--beam N] [--benchmark BT|SP|CG] [--trace-json FILE] [--json FILE] [--baseline FILE]");
+            eprintln!("usage: harness <table1|table2-check|fig1|fig8|fig9|fig10|mcl|ablation|validate|opportunity|trace|opt-time|paper-suite|all> [--scale micro|mini|paper] [--milp] [--beam N] [--benchmark BT|SP|CG] [--trace-json FILE]");
             std::process::exit(2);
         }
-    }
-}
-
-/// Throughput report for the routing-acceleration hot paths: annealing
-/// proposals/sec, merge-beam candidates/sec, and the end-to-end mini-scale
-/// pipeline wall time. `--json FILE` writes the measurements; `--baseline
-/// FILE` (a previous `--json` output) nests both runs plus speedups so the
-/// committed `BENCH_pr3.json` carries before/after in one document.
-fn perf(args: &[String]) {
-    println!("== perf: anneal / merge / pipeline throughput ==");
-
-    // --- annealing proposals/sec: a leaf-cube sub-problem, best of 3 ---
-    let cube = Torus::two_ary_cube(4);
-    let g = patterns::random(16, 48, 1.0, 20.0, 7);
-    let opts = AnnealOptions {
-        iterations: 50_000,
-        ..Default::default()
-    };
-    let mut anneal_rate = 0.0f64;
-    for _ in 0..3 {
-        let t = std::time::Instant::now();
-        let r = anneal_map(&cube, &g, &opts);
-        anneal_rate = anneal_rate.max(r.iterations as f64 / t.elapsed().as_secs_f64());
-    }
-
-    // --- merge candidates/sec: eight 2x2x2 blocks on a 4x4x4 torus ---
-    let topo = Torus::torus(&[4, 4, 4]);
-    let gm = patterns::random(64, 200, 1.0, 20.0, 11);
-    let children: Vec<PositionedBlock> = (0..8)
-        .map(|q| {
-            let base = (q * 8) as u32;
-            PositionedBlock {
-                block: Block {
-                    extent: Coord::new(&[2, 2, 2]),
-                    members: (0..8)
-                        .map(|i| {
-                            (
-                                base + i,
-                                Coord::new(&[(i / 4) as u16, (i / 2 % 2) as u16, (i % 2) as u16]),
-                            )
-                        })
-                        .collect(),
-                },
-                origin: Coord::new(&[
-                    (q / 4) as u16 * 2,
-                    (q / 2 % 2) as u16 * 2,
-                    (q % 2) as u16 * 2,
-                ]),
-            }
-        })
-        .collect();
-    let mut merge_rate = 0.0f64;
-    for _ in 0..3 {
-        let t = std::time::Instant::now();
-        let r = merge_blocks(
-            &topo,
-            &gm,
-            &children,
-            &Coord::new(&[0, 0, 0]),
-            &Coord::new(&[4, 4, 4]),
-            &MergeOptions::default(),
-        );
-        merge_rate = merge_rate.max(r.candidates_evaluated as f64 / t.elapsed().as_secs_f64());
-    }
-
-    // --- end-to-end pipeline: mini scale, annealing path, beam 64 ---
-    let mini = Scale::mini();
-    let gp = Benchmark::Cg.graph(mini.ranks);
-    let cfg = RahtmConfig {
-        use_milp: false,
-        ..RahtmConfig::default()
-    };
-    let t = std::time::Instant::now();
-    let res = RahtmMapper::new(cfg).map(&mini.machine, &gp, None);
-    let pipeline_secs = t.elapsed().as_secs_f64();
-
-    // --- MILP branch-and-bound nodes/sec: 1 vs 4 work-stealing workers ---
-    // Same Table II instance and no symmetry pins in either run, so both
-    // runs chase the same search tree; the metric is pure node
-    // throughput. Speedup is meaningful only with >= `threads` free cores
-    // (cores_available is recorded alongside).
-    let milp_cube = Torus::two_ary_cube(3);
-    let gmilp = patterns::random(8, 12, 1.0, 20.0, 13);
-    let bnb_rate = |threads: usize| -> (f64, usize) {
-        let mut best = 0.0f64;
-        let mut nodes = 0usize;
-        for _ in 0..2 {
-            let t = std::time::Instant::now();
-            let r = milp_map(
-                &milp_cube,
-                &gmilp,
-                &MilpMapOptions {
-                    symmetry_break: false,
-                    milp: rahtm_lp::MilpOptions {
-                        max_nodes: 200,
-                        threads,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                },
-            )
-            .expect("bench instance is feasible");
-            nodes = r.nodes;
-            best = best.max(r.nodes as f64 / t.elapsed().as_secs_f64());
-        }
-        (best, nodes)
-    };
-    let (milp_serial_rate, milp_serial_nodes) = bnb_rate(1);
-    let (milp_parallel_rate, milp_parallel_nodes) = bnb_rate(4);
-    let cores_available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    // --- mini-1k MILP rung under a wall-clock limit ---
-    // The full MILP ladder at mini scale with a finite budget, 1 vs 4
-    // branch-and-bound workers (same formulation, symmetry pins
-    // included). The rung completes inside the limit when
-    // milp_rung_downgrades == 0.
-    let milp_rung_limit_secs = 60.0;
-    let milp_rung = |threads: usize| {
-        let cfg_milp = RahtmConfig {
-            use_milp: true,
-            milp_threads: threads,
-            time_limit: Some(std::time::Duration::from_secs_f64(milp_rung_limit_secs)),
-            ..RahtmConfig::default()
-        };
-        let t = std::time::Instant::now();
-        let res = RahtmMapper::new(cfg_milp).map(&mini.machine, &gp, None);
-        (t.elapsed().as_secs_f64(), res)
-    };
-    let (milp_rung_serial_secs, res_serial) = milp_rung(1);
-    let (milp_rung_secs, res_milp) = milp_rung(4);
-    let milp_rung_downgrades = res_milp.stats.degradation.downgraded;
-
-    // the vendored serde_json has no `json!` macro: build the tree directly
-    use serde_json::Value;
-    let obj = |fields: Vec<(&str, Value)>| {
-        Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    };
-    let measured = obj(vec![
-        ("anneal_proposals_per_sec", Value::Number(anneal_rate)),
-        ("merge_candidates_per_sec", Value::Number(merge_rate)),
-        ("pipeline_mini_secs", Value::Number(pipeline_secs)),
-        ("pipeline_mini_predicted_mcl", Value::Number(res.predicted_mcl)),
-        ("milp_serial_nodes_per_sec", Value::Number(milp_serial_rate)),
-        (
-            "milp_parallel_nodes_per_sec",
-            Value::Number(milp_parallel_rate),
-        ),
-        (
-            "milp_parallel_speedup",
-            Value::Number(milp_parallel_rate / milp_serial_rate),
-        ),
-        (
-            "milp_serial_nodes",
-            Value::Number(milp_serial_nodes as f64),
-        ),
-        (
-            "milp_parallel_nodes",
-            Value::Number(milp_parallel_nodes as f64),
-        ),
-        ("cores_available", Value::Number(cores_available as f64)),
-        ("milp_rung_limit_secs", Value::Number(milp_rung_limit_secs)),
-        (
-            "milp_rung_serial_secs",
-            Value::Number(milp_rung_serial_secs),
-        ),
-        (
-            "milp_rung_serial_downgrades",
-            Value::Number(res_serial.stats.degradation.downgraded as f64),
-        ),
-        (
-            "milp_rung_serial_predicted_mcl",
-            Value::Number(res_serial.predicted_mcl),
-        ),
-        ("milp_rung_secs", Value::Number(milp_rung_secs)),
-        (
-            "milp_rung_downgrades",
-            Value::Number(milp_rung_downgrades as f64),
-        ),
-        (
-            "milp_rung_predicted_mcl",
-            Value::Number(res_milp.predicted_mcl),
-        ),
-        (
-            "setup",
-            obj(vec![
-                (
-                    "anneal",
-                    Value::String(
-                        "2-ary 4-cube, random(16 clusters, 48 flows), 50k proposals, best of 3"
-                            .into(),
-                    ),
-                ),
-                (
-                    "merge",
-                    Value::String(
-                        "8x 2x2x2 blocks on 4x4x4 torus, random(64, 200), beam 64, best of 3"
-                            .into(),
-                    ),
-                ),
-                (
-                    "pipeline",
-                    Value::String("mini-1k CG, annealing path, beam 64, single run".into()),
-                ),
-                (
-                    "milp",
-                    Value::String(
-                        "2-ary 3-cube, random(8 clusters, 12 flows), no symmetry pins, \
-                         200-node budget, 1 vs 4 work-stealing workers, best of 2"
-                            .into(),
-                    ),
-                ),
-                (
-                    "milp_rung",
-                    Value::String(
-                        "mini-1k CG, full MILP ladder, 60 s wall limit, \
-                         1 vs 4 B&B workers, symmetry pruning in both"
-                            .into(),
-                    ),
-                ),
-            ]),
-        ),
-    ]);
-    println!(
-        "anneal:   {:>12.0} proposals/sec\nmerge:    {:>12.0} candidates/sec\npipeline: {:>12.3} s (mini-1k CG, predicted MCL {:.3})",
-        anneal_rate, merge_rate, pipeline_secs, res.predicted_mcl
-    );
-    println!(
-        "milp:     {:>12.0} nodes/sec with 1 worker, {:.0} nodes/sec with 4 ({:.2}x on {} core(s))",
-        milp_serial_rate,
-        milp_parallel_rate,
-        milp_parallel_rate / milp_serial_rate,
-        cores_available
-    );
-    println!(
-        "milp rung: 1 worker {milp_rung_serial_secs:.3} s (predicted MCL {:.3}); \
-         4 workers {milp_rung_secs:.3} s of {milp_rung_limit_secs:.0} s limit, \
-         {milp_rung_downgrades} downgrade(s), predicted MCL {:.3}",
-        res_serial.predicted_mcl, res_milp.predicted_mcl
-    );
-
-    let report = match flag_value(args, "--baseline") {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-            let before: serde_json::Value =
-                serde_json::from_str(&text).expect("baseline is valid JSON");
-            // a baseline produced by `--json` is the bare measurement; one
-            // produced by `--baseline` already nests before/after — reuse
-            // its "after" as the comparison point in that case
-            let before = before.get("after").cloned().unwrap_or(before);
-            let ratio = |key: &str| -> f64 {
-                let b = before.get(key).and_then(|v| v.as_f64()).unwrap_or(f64::NAN);
-                let a = measured.get(key).and_then(|v| v.as_f64()).unwrap_or(f64::NAN);
-                if key.ends_with("_secs") { b / a } else { a / b }
-            };
-            let speedup = obj(vec![
-                ("anneal", Value::Number(ratio("anneal_proposals_per_sec"))),
-                ("merge", Value::Number(ratio("merge_candidates_per_sec"))),
-                ("pipeline", Value::Number(ratio("pipeline_mini_secs"))),
-            ]);
-            obj(vec![
-                ("before", before),
-                ("after", measured.clone()),
-                ("speedup", speedup),
-            ])
-        }
-        None => measured,
-    };
-    if let Some(path) = flag_value(args, "--json") {
-        let text = serde_json::to_string_pretty(&report);
-        std::fs::write(path, text + "\n")
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        println!("wrote {path}");
     }
 }
 

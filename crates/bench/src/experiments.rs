@@ -1,8 +1,8 @@
 //! Experiment runners for the paper's tables and figures.
 //!
 //! Each runner is a pure function from a [`Scale`] (machine + rank count)
-//! to result rows, so the `harness` binary, integration tests, and
-//! Criterion benches all share one code path.
+//! to result rows, so the `harness` binary and this module's unit tests
+//! share one code path.
 
 use rahtm_baselines::{
     dim_order_mapping, greedy_hop_bytes, hilbert_mapping, permute::parse_order, random_mapping,
@@ -73,11 +73,6 @@ impl Scale {
                 ("BAT", "BAT".into()),
             ],
         }
-    }
-
-    /// The default mapping's order string (first in `orders`).
-    pub fn default_order(&self) -> &str {
-        &self.orders[0].1
     }
 }
 

@@ -1,8 +1,7 @@
 //! # rahtm-bench
 //!
 //! Experiment harness regenerating every table and figure of the RAHTM
-//! paper (see DESIGN.md §4 for the experiment index) plus Criterion
-//! micro-benchmarks of the individual subsystems.
+//! paper (see DESIGN.md §4 for the experiment index).
 //!
 //! The `harness` binary drives the [`experiments`] runners and prints the
 //! same rows/series the paper reports; EXPERIMENTS.md records the

@@ -6,7 +6,7 @@
 //! * [`CommGraph`] — a weighted, directed point-to-point communication
 //!   graph over MPI ranks (what IPM profiling gave the paper's authors).
 //! * [`patterns`] — synthetic kernels (rings, halos, transposes, random
-//!   traffic) used by tests and ablation benches.
+//!   traffic) used by tests and `harness ablation`.
 //! * [`nas`] — generators reproducing the per-iteration point-to-point
 //!   patterns of the paper's three benchmarks (NAS BT, SP, CG; Table I),
 //!   including the computation/communication split of Figure 9. This is the

@@ -1,7 +1,7 @@
 //! Synthetic communication kernels.
 //!
 //! These generators produce the classic HPC traffic shapes used throughout
-//! the test suite and the ablation benches: nearest-neighbor halos, rings,
+//! the test suite and `harness ablation`: nearest-neighbor halos, rings,
 //! transposes, butterflies, and random traffic. They are deliberately
 //! simple and fully deterministic (random traffic takes an explicit seed)
 //! so mapping-quality comparisons are reproducible.

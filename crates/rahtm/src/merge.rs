@@ -7,7 +7,7 @@
 //! combination of both blocks' orientations is ranked, as in the paper's
 //! walkthrough (Figure 7). `N` (the beam width) is the paper's key knob —
 //! it fixes `N = 64`; `N = 1` degenerates to the pure greedy the paper
-//! argues against, and the ablation bench sweeps it.
+//! argues against, and `harness ablation` sweeps it.
 //!
 //! The first-pair ranking routes only one candidate per orbit of the
 //! torus reflections that fix both boxes: such a reflection maps a

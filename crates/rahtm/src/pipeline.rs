@@ -270,7 +270,7 @@ impl RahtmMapper {
     /// logical rank grid; `None` uses a near-square 2-D grid.
     ///
     /// Convenience wrapper over [`RahtmMapper::run`] for callers that
-    /// treat any failure as fatal (examples, benches).
+    /// treat any failure as fatal (examples, the experiment harness).
     ///
     /// # Panics
     /// Panics on any [`RahtmError`] — prefer [`RahtmMapper::run`] in code

@@ -170,3 +170,56 @@ fn pipeline_is_reproducible() {
     assert_eq!(a.mapping, b.mapping);
     assert_eq!(a.predicted_mcl, b.predicted_mcl);
 }
+
+/// The sub-problem and merge caches are pure memoization: switching them
+/// off must reproduce the cached run's mapping and predicted MCL bit for
+/// bit. The two-slice 4×4×2 machine exercises the cross-slice merge cache.
+#[test]
+fn subproblem_caches_do_not_change_the_mapping() {
+    let halo = (
+        "halo 8x8 on 4x4",
+        BgqMachine::new(Torus::torus(&[4, 4]), 4, 4),
+        patterns::halo_2d(8, 8, 1000.0, true),
+        RankGrid::new(&[8, 8]),
+    );
+    let nas = |bench: Benchmark, ranks: u32, machine: BgqMachine| {
+        let spec = bench.spec(ranks);
+        (bench.name(), machine, spec.comm_graph(), spec.grid)
+    };
+    let cases = [
+        halo,
+        nas(
+            Benchmark::Cg,
+            64,
+            BgqMachine::new(Torus::torus(&[4, 4, 2]), 16, 2),
+        ),
+        nas(
+            Benchmark::Bt,
+            1024,
+            BgqMachine::new(Torus::torus(&[4, 4, 4, 2]), 16, 8),
+        ),
+    ];
+    let anneal_only = RahtmConfig {
+        use_milp: false,
+        ..RahtmConfig::default()
+    };
+    for (name, machine, graph, grid) in &cases {
+        for base in [RahtmConfig::fast(), anneal_only.clone()] {
+            let run = |cache_subproblems: bool| {
+                let cfg = RahtmConfig {
+                    cache_subproblems,
+                    ..base.clone()
+                };
+                RahtmMapper::new(cfg).map(machine, graph, Some(grid.clone()))
+            };
+            let (cached, uncached) = (run(true), run(false));
+            let label = format!("{name}, beam {}", base.beam_width);
+            assert_eq!(cached.mapping, uncached.mapping, "{label}");
+            assert_eq!(
+                cached.predicted_mcl.to_bits(),
+                uncached.predicted_mcl.to_bits(),
+                "{label}"
+            );
+        }
+    }
+}
