@@ -9,7 +9,7 @@
 //! which then feed the unchanged RAHTM pipeline.
 //!
 //! Implementations follow the classic MPICH/OpenMPI algorithm families the
-//! paper cites (recursive doubling, dissemination [21], rings, binomial
+//! paper cites (recursive doubling, dissemination \[21\], rings, binomial
 //! trees).
 
 use crate::graph::CommGraph;

@@ -165,16 +165,6 @@ impl CommGraph {
         g
     }
 
-    /// Rebuilds the internal (src,dst) index; needed after deserialization.
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .flows
-            .iter()
-            .enumerate()
-            .map(|(i, f)| ((f.src, f.dst), i))
-            .collect();
-    }
-
     /// Checks internal invariants (used by tests and after deserialization).
     ///
     /// # Panics

@@ -34,9 +34,9 @@ pub struct AnnealOptions {
     pub seed: u64,
     /// Routing model used for scoring.
     pub routing: Routing,
-    /// Wall-clock budget: polled every [`DEADLINE_CHECK_EVERY`] proposals;
-    /// on expiry the best placement found so far is returned. The default
-    /// never expires, keeping runs deterministic.
+    /// Wall-clock budget: polled every `DEADLINE_CHECK_EVERY` (256)
+    /// proposals; on expiry the best placement found so far is returned.
+    /// The default never expires, keeping runs deterministic.
     pub deadline: Deadline,
     /// Trace sink (disabled by default; accept/reject totals are recorded
     /// once at the end of the run, never per proposal).
@@ -107,17 +107,9 @@ pub fn anneal_map(cube: &Torus, graph: &CommGraph, opts: &AnnealOptions) -> Anne
         }
     };
     // Persistent routed state: a proposal re-routes only the flows
-    // incident to the two swapped vertices (O(degree), not O(flows)),
+    // incident to the moved clusters (O(degree), not O(flows)),
     // bit-identical to re-routing the whole graph from scratch.
     let mut inc = IncrementalLoads::new(cube, graph, &placement, opts.routing, stencils);
-    let mut flows_of_cluster: Vec<Vec<u32>> = vec![Vec::new(); a];
-    for (i, f) in graph.flows().iter().enumerate() {
-        if f.src == f.dst {
-            continue; // self-flows never load a channel
-        }
-        flows_of_cluster[f.src as usize].push(i as u32);
-        flows_of_cluster[f.dst as usize].push(i as u32);
-    }
     let mut cur = inc.mcl();
     let mut best = cur;
     let mut best_placement = placement.clone();
@@ -140,7 +132,6 @@ pub fn anneal_map(cube: &Torus, graph: &CommGraph, opts: &AnnealOptions) -> Anne
     let mut done = 0usize;
     let mut accepted = 0usize;
     let mut rejected = 0usize;
-    let mut touched: Vec<u32> = Vec::new();
     for it in 0..opts.iterations {
         if it.is_multiple_of(DEADLINE_CHECK_EVERY) && opts.deadline.is_expired() {
             break;
@@ -157,66 +148,19 @@ pub fn anneal_map(cube: &Torus, graph: &CommGraph, opts: &AnnealOptions) -> Anne
             temp *= cool;
             continue;
         }
-        // apply
+        // apply, then stage the moved clusters' re-routes: live state is
+        // untouched until commit, so a reject needs no routing back
         contents.swap(va, vb);
-        if let Some(c) = contents[va] {
-            placement[c as usize] = va as NodeId;
-        }
-        if let Some(c) = contents[vb] {
-            placement[c as usize] = vb as NodeId;
-        }
-        // sorted union of the two moved clusters' incident flows
-        touched.clear();
-        {
-            let la: &[u32] = contents[va]
-                .map(|c| flows_of_cluster[c as usize].as_slice())
-                .unwrap_or(&[]);
-            let lb: &[u32] = contents[vb]
-                .map(|c| flows_of_cluster[c as usize].as_slice())
-                .unwrap_or(&[]);
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < la.len() || j < lb.len() {
-                match (la.get(i), lb.get(j)) {
-                    (Some(&x), Some(&y)) if x == y => {
-                        touched.push(x);
-                        i += 1;
-                        j += 1;
-                    }
-                    (Some(&x), Some(&y)) if x < y => {
-                        touched.push(x);
-                        i += 1;
-                    }
-                    (Some(_), Some(&y)) => {
-                        touched.push(y);
-                        j += 1;
-                    }
-                    (Some(&x), None) => {
-                        touched.push(x);
-                        i += 1;
-                    }
-                    (None, Some(&y)) => {
-                        touched.push(y);
-                        j += 1;
-                    }
-                    (None, None) => unreachable!(),
-                }
+        let mut moved = [0u32; 2];
+        let mut n = 0;
+        for vx in [va, vb] {
+            if let Some(c) = contents[vx] {
+                placement[c as usize] = vx as NodeId;
+                moved[n] = c;
+                n += 1;
             }
         }
-        // stage the re-routes: live state is untouched until commit, so a
-        // reject needs no routing back
-        for &fi in &touched {
-            let f = &graph.flows()[fi as usize];
-            inc.stage_flow(
-                fi,
-                cube,
-                stencils,
-                opts.routing,
-                placement[f.src as usize],
-                placement[f.dst as usize],
-                f.bytes,
-            );
-        }
-        let cand = inc.staged_mcl();
+        let cand = inc.stage_moves(&placement, &moved[..n]);
         let accept = cand <= cur || {
             let p = ((cur - cand) / temp).exp();
             rng.gen::<f64>() < p
@@ -234,11 +178,10 @@ pub fn anneal_map(cube: &Torus, graph: &CommGraph, opts: &AnnealOptions) -> Anne
             rejected += 1;
             // revert the placement bookkeeping (the loads never changed)
             contents.swap(va, vb);
-            if let Some(c) = contents[va] {
-                placement[c as usize] = va as NodeId;
-            }
-            if let Some(c) = contents[vb] {
-                placement[c as usize] = vb as NodeId;
+            for vx in [va, vb] {
+                if let Some(c) = contents[vx] {
+                    placement[c as usize] = vx as NodeId;
+                }
             }
         }
         temp *= cool;

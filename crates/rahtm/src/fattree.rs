@@ -2,7 +2,7 @@
 //!
 //! The paper argues RAHTM's ingredients — optimal leaf sub-problems,
 //! MCL-driven incremental merging, candidate pruning — carry over to any
-//! partitionable topology, with "leaf-level topology partitions [that] can
+//! partitionable topology, with "leaf-level topology partitions \[that\] can
 //! be other structures such as trees in the case of fat-tree topology".
 //! This module is that extension, and it illustrates how much *simpler*
 //! the tree case is: all children of a switch are topologically

@@ -46,9 +46,6 @@ pub struct MergeOptions {
     pub beam_width: usize,
     /// Routing model used for MCL scoring (paper: the MAR approximation).
     pub routing: Routing,
-    /// Restrict the search to proper rotations (half the group). The paper
-    /// uses the full rotation/reflection set; this is an ablation knob.
-    pub proper_rotations_only: bool,
     /// Blocks with more members than this search only axis flips (identity
     /// permutation) instead of the full hyperoctahedral group. This bounds
     /// the cost of merging very large blocks — in practice only the final
@@ -80,7 +77,6 @@ impl Default for MergeOptions {
         MergeOptions {
             beam_width: 64,
             routing: Routing::UniformMinimal,
-            proper_rotations_only: false,
             full_group_member_limit: 64,
             deadline: Deadline::never(),
             recorder: Recorder::disabled(),
@@ -239,9 +235,6 @@ fn merge_with(
             let mut os = Orientation::enumerate_for(extent);
             // dedupe: flipping an extent-1 output dimension is a no-op
             os.retain(|o| (0..o.ndims()).all(|d| extent.get(o.perm(d)) > 1 || !o.flipped(d)));
-            if opts.proper_rotations_only {
-                os.retain(|o| o.is_proper_rotation());
-            }
             if c.block.members.len() > opts.full_group_member_limit {
                 // large block: axis flips only (identity permutation)
                 os.retain(|o| (0..o.ndims()).all(|d| o.perm(d) == d));
@@ -1465,14 +1458,12 @@ mod tests {
         #[test]
         fn orbit_quotient_matches_exhaustive_search(
             seed in 0..u64::MAX,
-            proper in proptest::bool::ANY,
             flips_only in proptest::bool::ANY,
             beam_width in proptest::sample::select(vec![1usize, 4, 64]),
         ) {
             let case = random_case(seed);
             let opts = MergeOptions {
                 beam_width,
-                proper_rotations_only: proper,
                 full_group_member_limit: if flips_only { 0 } else { 64 },
                 ..Default::default()
             };
@@ -1488,7 +1479,6 @@ mod tests {
         #[test]
         fn beam_bound_matches_unbounded_search(
             seed in 0..u64::MAX,
-            proper in proptest::bool::ANY,
             flips_only in proptest::bool::ANY,
             beam_width in proptest::sample::select(vec![1usize, 4, 64]),
             thread_cap in proptest::sample::select(vec![1usize, 0]),
@@ -1496,7 +1486,6 @@ mod tests {
             let case = random_case(seed);
             let opts = MergeOptions {
                 beam_width,
-                proper_rotations_only: proper,
                 full_group_member_limit: if flips_only { 0 } else { 64 },
                 thread_cap,
                 ..Default::default()
@@ -1553,10 +1542,6 @@ mod tests {
         };
         let skipped = case.assert_quotient_exact(&MergeOptions::default());
         assert_eq!(skipped, 48 * 48 - 48 * 48 / 8);
-        // proper rotations only: the three single-axis mirrors (and their
-        // product) change handedness, leaving the four even reflections
-        let proper = MergeOptions { proper_rotations_only: true, ..Default::default() };
-        assert_eq!(case.assert_quotient_exact(&proper), 24 * 24 - 24 * 24 / 4);
         let dor = MergeOptions { routing: Routing::DimOrder, ..Default::default() };
         assert_eq!(case.assert_quotient_exact(&dor), 0);
     }

@@ -23,7 +23,6 @@ use crate::error::RahtmError;
 use rahtm_commgraph::CommGraph;
 use rahtm_lp::{solve_milp, Col, MilpOptions, MilpStatus, Problem, Sense};
 use rahtm_obs::counters;
-use rahtm_routing::{route_graph, ChannelLoads, Routing};
 use rahtm_topology::{Channel, Coord, Direction, NodeId, Orientation, Torus};
 
 /// Options for a Table II solve.
@@ -526,25 +525,6 @@ fn expand_incumbent(
         return None;
     }
     Some(x)
-}
-
-/// Convenience: evaluates a placement's MCL under a concrete oblivious
-/// routing model (for comparing MILP output against heuristics).
-pub fn placement_mcl(cube: &Torus, graph: &CommGraph, placement: &[NodeId], routing: Routing) -> f64 {
-    let loads: ChannelLoads = route_graph(cube, graph, placement, routing);
-    loads.mcl(cube)
-}
-
-/// [`placement_mcl`] through a shared routing-stencil cache — bit-identical
-/// value, amortized routing cost across repeated incumbent comparisons.
-pub fn placement_mcl_cached(
-    cube: &Torus,
-    graph: &CommGraph,
-    placement: &[NodeId],
-    routing: Routing,
-    stencils: &rahtm_routing::RouteStencilCache,
-) -> f64 {
-    stencils.route_graph(cube, graph, placement, routing).mcl(cube)
 }
 
 #[cfg(test)]

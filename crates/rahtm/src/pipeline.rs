@@ -28,7 +28,7 @@ use crate::error::{panic_message, RahtmError};
 use crate::fault::{Fault, FaultPlan};
 use crate::mapping::TaskMapping;
 use crate::merge::{merge_blocks, MergeOptions, PositionedBlock};
-use crate::milp::{milp_map, placement_mcl_cached, MilpMapOptions};
+use crate::milp::{milp_map, MilpMapOptions};
 use rahtm_commgraph::{CommGraph, Rank, RankGrid};
 use rahtm_lp::{Deadline, MilpOptions, SimplexOptions};
 use rahtm_obs::{counters, gauges, spans, Journal, Recorder};
@@ -887,8 +887,9 @@ impl RunContext<'_> {
                     // Keep whichever is better under the oblivious scoring
                     // model (the MILP optimizes the LP split, SA the
                     // uniform split).
-                    let milp_mcl =
-                        placement_mcl_cached(cube, graph, &res.placement, cfg.routing, stencils);
+                    let milp_mcl = stencils
+                        .route_graph(cube, graph, &res.placement, cfg.routing)
+                        .mcl(cube);
                     if milp_mcl <= sa.mcl + 1e-9 {
                         res.placement
                     } else {

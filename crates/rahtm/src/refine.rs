@@ -1,5 +1,5 @@
 //! Post-pipeline refinement (§VI: "we are also pursuing techniques to
-//! [improve] the quality of mapping").
+//! \[improve\] the quality of mapping").
 //!
 //! The hierarchical decomposition occasionally strands a pair of clusters
 //! in sub-optimal positions that no block orientation can fix (the
@@ -40,25 +40,8 @@ pub struct PolishResult {
 /// `max_proposals` bounds the work; the search proposes swaps between a
 /// bottleneck-adjacent cluster and (a) the other bottleneck endpoint's
 /// cluster, then (b) random clusters, accepting strict improvements.
-///
-/// # Panics
-/// Panics if `placement.len() != graph.num_ranks()` or the placement is
-/// not injective.
-pub fn polish_placement(
-    topo: &Torus,
-    graph: &CommGraph,
-    placement: &[NodeId],
-    routing: Routing,
-    max_proposals: usize,
-    seed: u64,
-) -> PolishResult {
-    let stencils = RouteStencilCache::new(topo);
-    polish_placement_with(topo, graph, placement, routing, max_proposals, seed, &stencils)
-}
-
-/// [`polish_placement`] scoring through a shared routing-stencil cache and
-/// incremental channel loads: a proposal re-routes only the two swapped
-/// clusters' flows. Bit-identical decisions and results.
+/// Proposals are scored through `stencils` and incremental channel loads,
+/// so one re-routes only the two swapped clusters' flows.
 ///
 /// # Panics
 /// Panics if `placement.len() != graph.num_ranks()` or the placement is
@@ -85,20 +68,11 @@ pub fn polish_placement_with(
         cluster_at[n as usize] = Some(cl as u32);
     }
     let mut inc = IncrementalLoads::new(topo, graph, &place, routing, stencils);
-    let mut flows_of_cluster: Vec<Vec<u32>> = vec![Vec::new(); place.len()];
-    for (i, f) in graph.flows().iter().enumerate() {
-        if f.src == f.dst {
-            continue;
-        }
-        flows_of_cluster[f.src as usize].push(i as u32);
-        flows_of_cluster[f.dst as usize].push(i as u32);
-    }
     let initial_mcl = inc.mcl();
     let mut cur = initial_mcl;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut swaps_accepted = 0;
     let mut proposals = 0;
-    let mut touched: Vec<u32> = Vec::new();
 
     while proposals < max_proposals {
         // find the bottleneck channel's endpoints
@@ -134,50 +108,7 @@ pub fn polish_placement_with(
             }
             proposals += 1;
             place.swap(a as usize, b as usize);
-            // sorted union of the two clusters' incident flows
-            touched.clear();
-            let la = &flows_of_cluster[a as usize];
-            let lb = &flows_of_cluster[b as usize];
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < la.len() || j < lb.len() {
-                match (la.get(i), lb.get(j)) {
-                    (Some(&x), Some(&y)) if x == y => {
-                        touched.push(x);
-                        i += 1;
-                        j += 1;
-                    }
-                    (Some(&x), Some(&y)) if x < y => {
-                        touched.push(x);
-                        i += 1;
-                    }
-                    (Some(_), Some(&y)) => {
-                        touched.push(y);
-                        j += 1;
-                    }
-                    (Some(&x), None) => {
-                        touched.push(x);
-                        i += 1;
-                    }
-                    (None, Some(&y)) => {
-                        touched.push(y);
-                        j += 1;
-                    }
-                    (None, None) => unreachable!(),
-                }
-            }
-            for &fi in &touched {
-                let f = &graph.flows()[fi as usize];
-                inc.stage_flow(
-                    fi,
-                    topo,
-                    stencils,
-                    routing,
-                    place[f.src as usize],
-                    place[f.dst as usize],
-                    f.bytes,
-                );
-            }
-            let cand = inc.staged_mcl();
+            let cand = inc.stage_moves(&place, &[a, b]);
             if cand < cur - 1e-12 {
                 inc.commit();
                 cur = cand;
@@ -209,13 +140,25 @@ mod tests {
     use rahtm_commgraph::patterns;
     use rahtm_routing::route_graph;
 
+    fn polish(
+        topo: &Torus,
+        graph: &CommGraph,
+        placement: &[NodeId],
+        max_proposals: usize,
+        seed: u64,
+    ) -> PolishResult {
+        let stencils = RouteStencilCache::new(topo);
+        let routing = Routing::UniformMinimal;
+        polish_placement_with(topo, graph, placement, routing, max_proposals, seed, &stencils)
+    }
+
     #[test]
     fn never_worse_and_stays_injective() {
         let topo = Torus::torus(&[4, 4]);
         for seed in [1u64, 2, 3] {
             let g = patterns::random(16, 40, 1.0, 20.0, seed);
             let place: Vec<NodeId> = (0..16).collect();
-            let r = polish_placement(&topo, &g, &place, Routing::UniformMinimal, 500, seed);
+            let r = polish(&topo, &g, &place, 500, seed);
             assert!(r.final_mcl <= r.initial_mcl + 1e-9);
             let distinct: std::collections::HashSet<_> = r.placement.iter().collect();
             assert_eq!(distinct.len(), 16);
@@ -232,7 +175,7 @@ mod tests {
         let topo = Torus::mesh(&[2, 2]);
         let g = patterns::figure1(100.0, 1.0);
         let adjacent: Vec<NodeId> = vec![0, 1, 2, 3];
-        let r = polish_placement(&topo, &g, &adjacent, Routing::UniformMinimal, 200, 7);
+        let r = polish(&topo, &g, &adjacent, 200, 7);
         assert!(r.final_mcl < r.initial_mcl);
         assert!(r.swaps_accepted >= 1);
         assert!(r.final_mcl <= 52.0, "should reach near-optimal: {}", r.final_mcl);
@@ -243,7 +186,7 @@ mod tests {
         let topo = Torus::torus(&[4]);
         let g = patterns::ring(4, 1.0);
         let place: Vec<NodeId> = vec![2, 0, 3, 1];
-        let r = polish_placement(&topo, &g, &place, Routing::UniformMinimal, 0, 1);
+        let r = polish(&topo, &g, &place, 0, 1);
         assert_eq!(r.placement, place);
         assert_eq!(r.swaps_accepted, 0);
     }
@@ -253,6 +196,6 @@ mod tests {
     fn non_injective_rejected() {
         let topo = Torus::torus(&[4]);
         let g = patterns::ring(4, 1.0);
-        polish_placement(&topo, &g, &[0, 0, 1, 2], Routing::UniformMinimal, 10, 1);
+        polish(&topo, &g, &[0, 0, 1, 2], 10, 1);
     }
 }

@@ -1,31 +1,28 @@
-//! Persistent channel loads with exact per-flow delta updates.
+//! Persistent channel loads with exact per-proposal delta updates.
 //!
-//! The annealer's inner loop used to re-route *every* flow to score a
-//! two-vertex swap. [`IncrementalLoads`] keeps the routed state resident
-//! and re-routes only the flows incident to the swapped vertices —
-//! O(degree) work per proposal instead of O(flows) — while staying
-//! **bit-identical** to a from-scratch [`crate::route_graph`].
+//! Annealing and the post-pipeline polish score every proposed move by its
+//! MCL. [`IncrementalLoads`] keeps the routed state resident and re-routes
+//! only the flows incident to the moved clusters — O(degree) work per
+//! proposal instead of O(flows) — while staying **bit-identical** to a
+//! from-scratch [`crate::route_graph`].
 //!
 //! Bit-identity is the hard part: floating-point addition is not
 //! associative, so naive `sum += new - old` deltas drift. Instead each
 //! channel slot keeps its contribution list `(flow, seq, value)` ordered by
 //! `(flow, seq)` — exactly the order `route_graph` adds them — and a
-//! touched slot's sum is recomputed by refolding the list left to right.
-//! Same addends, same order, same bits. Reverting a swap re-routes the
-//! flows back with their old endpoints; since values are deterministic the
-//! list (and every fold) is restored exactly, so no undo log is needed.
+//! touched slot's sum is the left fold of its rebuilt list. Same addends,
+//! same order, same bits.
 //!
-//! The width-normalized max (MCL) is maintained lazily: raising updates it
-//! in place, and only a shrink of the current maximum forces a rescan on
-//! the next [`IncrementalLoads::mcl`] call.
+//! A proposal is two-phase. [`IncrementalLoads::stage_moves`] re-routes
+//! the moved clusters' flows into reusable scratch, builds each touched
+//! slot's candidate list by a single merge pass and returns the candidate
+//! MCL without mutating live state. [`IncrementalLoads::commit`] makes the
+//! candidate live; [`IncrementalLoads::discard`] drops it for free — no
+//! re-route back, no list surgery on the live state.
 //!
-//! For annealing-style propose/accept loops there is also a **staged**
-//! two-phase path ([`IncrementalLoads::stage_flow`] /
-//! [`IncrementalLoads::staged_mcl`] / [`IncrementalLoads::commit`] /
-//! [`IncrementalLoads::discard`]): candidate contribution lists are built
-//! in reusable scratch by a single merge pass, the candidate MCL is read
-//! without mutating live state, and a rejected proposal is discarded for
-//! free — no re-route back, no list surgery on the live state.
+//! The width-normalized max (MCL) is maintained lazily: a commit that
+//! raises a slot updates it in place, and only a shrink of the current
+//! maximum forces a rescan on the next [`IncrementalLoads::mcl`] call.
 
 use rahtm_commgraph::CommGraph;
 use rahtm_topology::{ChannelId, NodeId, Torus};
@@ -33,9 +30,16 @@ use rahtm_topology::{ChannelId, NodeId, Torus};
 use crate::stencil::RouteStencilCache;
 use crate::Routing;
 
-/// Channel loads that support exact `reroute_flow` deltas.
-#[derive(Clone, Debug)]
-pub struct IncrementalLoads {
+/// Channel loads of one graph's placement on one topology, with exact
+/// staged move proposals.
+pub struct IncrementalLoads<'a> {
+    topo: &'a Torus,
+    graph: &'a CommGraph,
+    cache: &'a RouteStencilCache,
+    routing: Routing,
+    /// Per cluster: ids of the flows it sends or receives, ascending
+    /// (self-flows never load a channel and are left out).
+    incident: Vec<Vec<u32>>,
     /// Per channel slot: `(flow, seq, value)` sorted by `(flow, seq)`.
     contribs: Vec<Vec<(u32, u32, f64)>>,
     /// Per channel slot: left fold of its contribution values.
@@ -75,18 +79,18 @@ pub struct IncrementalLoads {
     slot_pool: Vec<Vec<u32>>,
 }
 
-impl IncrementalLoads {
+impl<'a> IncrementalLoads<'a> {
     /// Routes every flow of `graph` under `placement` through `cache` and
     /// takes ownership of the result as incremental state.
     ///
     /// # Panics
     /// Panics if `placement.len() != graph.num_ranks()`.
     pub fn new(
-        topo: &Torus,
-        graph: &CommGraph,
+        topo: &'a Torus,
+        graph: &'a CommGraph,
         placement: &[NodeId],
         routing: Routing,
-        cache: &RouteStencilCache,
+        cache: &'a RouteStencilCache,
     ) -> Self {
         assert_eq!(placement.len(), graph.num_ranks() as usize);
         let slots = topo.num_channel_slots();
@@ -97,6 +101,11 @@ impl IncrementalLoads {
             chan_widths.push((ch.id, ch.width));
         }
         let mut inc = IncrementalLoads {
+            topo,
+            graph,
+            cache,
+            routing,
+            incident: vec![Vec::new(); placement.len()],
             contribs: vec![Vec::new(); slots],
             sums: vec![0.0; slots],
             footprint: vec![Vec::new(); graph.flows().len()],
@@ -117,6 +126,10 @@ impl IncrementalLoads {
         };
         for (i, f) in graph.flows().iter().enumerate() {
             let flow = i as u32;
+            if f.src != f.dst {
+                inc.incident[f.src as usize].push(flow);
+                inc.incident[f.dst as usize].push(flow);
+            }
             let src = placement[f.src as usize];
             let dst = placement[f.dst as usize];
             let mut seq = 0u32;
@@ -137,69 +150,39 @@ impl IncrementalLoads {
         inc
     }
 
-    /// Re-routes `flow` to the endpoints `src → dst`, exactly replacing its
-    /// old contribution. Passing the flow's previous endpoints reverts a
-    /// prior reroute bit-exactly.
-    #[allow(clippy::too_many_arguments)]
-    pub fn reroute_flow(
-        &mut self,
-        flow: u32,
-        topo: &Torus,
-        cache: &RouteStencilCache,
-        routing: Routing,
-        src: NodeId,
-        dst: NodeId,
-        bytes: f64,
-    ) {
-        let fi = flow as usize;
-        // Pull the flow's old entries out of every slot it loaded.
-        let old_slots = std::mem::take(&mut self.footprint[fi]);
-        for &slot in &old_slots {
-            self.contribs[slot as usize].retain(|&(f, _, _)| f != flow);
+    /// Opens a proposal in which the clusters in `moved` (one or two; one
+    /// when a cluster moves onto an empty vertex) have already taken their
+    /// new nodes in `placement`, and returns its candidate MCL —
+    /// bit-identical to `route_graph(..).mcl(topo)` of `placement`. Live
+    /// state is untouched: follow with [`Self::commit`] or
+    /// [`Self::discard`].
+    ///
+    /// Stages the sorted union of the moved clusters' incident flows in
+    /// ascending id, so every staged slot's new entries are born
+    /// `(flow, seq)`-sorted and never need sorting.
+    ///
+    /// # Panics
+    /// Panics unless `moved` holds one or two clusters.
+    pub fn stage_moves(&mut self, placement: &[NodeId], moved: &[u32]) -> f64 {
+        debug_assert!(self.staged_flows.is_empty(), "previous proposal still open");
+        let (a, b) = match *moved {
+            [a] => (a as usize, a as usize),
+            [a, b] => (a as usize, b as usize),
+            _ => panic!("stage_moves takes one or two moved clusters"),
+        };
+        let (mut i, mut j) = (0usize, 0usize);
+        loop {
+            let x = self.incident[a].get(i).copied().unwrap_or(u32::MAX);
+            let y = self.incident[b].get(j).copied().unwrap_or(u32::MAX);
+            let flow = x.min(y);
+            if flow == u32::MAX {
+                break;
+            }
+            i += usize::from(x == flow);
+            j += usize::from(y == flow);
+            self.stage_flow(flow, placement);
         }
-        // Insert the new entries at their (flow, seq) rank.
-        let mut new_slots: Vec<u32> = Vec::with_capacity(old_slots.len());
-        let mut seq = 0u32;
-        cache.for_each_load(topo, routing, src, dst, bytes, |slot, v| {
-            let list = &mut self.contribs[slot as usize];
-            let at = list.partition_point(|&(f, s, _)| (f, s) < (flow, seq));
-            list.insert(at, (flow, seq, v));
-            new_slots.push(slot);
-            seq += 1;
-        });
-        new_slots.sort_unstable();
-        new_slots.dedup();
-        // Refold every touched slot (old ∪ new) and repair the lazy max.
-        let mut i = 0;
-        let mut j = 0;
-        while i < old_slots.len() || j < new_slots.len() {
-            let slot = match (old_slots.get(i), new_slots.get(j)) {
-                (Some(&a), Some(&b)) if a == b => {
-                    i += 1;
-                    j += 1;
-                    a
-                }
-                (Some(&a), Some(&b)) if a < b => {
-                    i += 1;
-                    a
-                }
-                (Some(_), Some(&b)) => {
-                    j += 1;
-                    b
-                }
-                (Some(&a), None) => {
-                    i += 1;
-                    a
-                }
-                (None, Some(&b)) => {
-                    j += 1;
-                    b
-                }
-                (None, None) => unreachable!(),
-            };
-            self.refold(slot);
-        }
-        self.footprint[fi] = new_slots;
+        self.staged_mcl()
     }
 
     /// Registers `slot` in the open proposal, returning its index in
@@ -219,31 +202,12 @@ impl IncrementalLoads {
         si
     }
 
-    /// Stages a reroute of `flow` to `src → dst` in the open proposal
-    /// without touching live state. Evaluate with [`Self::staged_mcl`],
-    /// then [`Self::commit`] or [`Self::discard`].
-    ///
-    /// A flow may be staged at most once per proposal, and flows must be
-    /// staged in ascending id order (incidence lists are naturally sorted)
-    /// — per-slot staged entries are then born `(flow, seq)`-sorted and
-    /// never need sorting.
-    #[allow(clippy::too_many_arguments)]
-    pub fn stage_flow(
-        &mut self,
-        flow: u32,
-        topo: &Torus,
-        cache: &RouteStencilCache,
-        routing: Routing,
-        src: NodeId,
-        dst: NodeId,
-        bytes: f64,
-    ) {
+    /// Stages the reroute of `flow` to its endpoints under `placement`.
+    fn stage_flow(&mut self, flow: u32, placement: &[NodeId]) {
         let fi = flow as usize;
-        debug_assert!(!self.flow_staged[fi], "flow staged twice in one proposal");
-        debug_assert!(
-            self.staged_flows.last().is_none_or(|&l| l < flow),
-            "flows must be staged in ascending id order"
-        );
+        let f = self.graph.flows()[fi];
+        let src = placement[f.src as usize];
+        let dst = placement[f.dst as usize];
         self.flow_staged[fi] = true;
         self.staged_flows.push(flow);
         // slots losing the flow's old entries join the staged set
@@ -259,7 +223,8 @@ impl IncrementalLoads {
             let staged_new = &mut self.staged_new;
             let list_pool = &mut self.list_pool;
             let mut seq = 0u32;
-            cache.for_each_load(topo, routing, src, dst, bytes, |slot, v| {
+            let (topo, routing) = (self.topo, self.routing);
+            self.cache.for_each_load(topo, routing, src, dst, f.bytes, |slot, v| {
                 let idx = slot_stage_idx[slot as usize];
                 let si = if idx != u32::MAX {
                     idx as usize
@@ -287,10 +252,7 @@ impl IncrementalLoads {
     /// staged slot's candidate list by one merge pass (live entries minus
     /// staged flows, staged entries in at their `(flow, seq)` rank) and
     /// scans all channels with the staged sums overriding the live ones.
-    ///
-    /// Call once per proposal, after all [`Self::stage_flow`] calls.
-    pub fn staged_mcl(&mut self) -> f64 {
-        debug_assert!(self.staged_lists.is_empty(), "staged_mcl called twice");
+    fn staged_mcl(&mut self) -> f64 {
         for si in 0..self.staged_slots.len() {
             let slot = self.staged_slots[si];
             let mut list = self.list_pool.pop().unwrap_or_default();
@@ -336,10 +298,8 @@ impl IncrementalLoads {
     }
 
     /// Applies the staged proposal: candidate lists and sums become live,
-    /// footprints update, and the lazy max is repaired per slot. Requires a
-    /// preceding [`Self::staged_mcl`] (it builds the candidate lists).
+    /// footprints update, and the lazy max is repaired per slot.
     pub fn commit(&mut self) {
-        debug_assert_eq!(self.staged_lists.len(), self.staged_slots.len());
         for si in 0..self.staged_slots.len() {
             let s = self.staged_slots[si] as usize;
             let old = self.sums[s];
@@ -378,9 +338,7 @@ impl IncrementalLoads {
         for si in 0..self.staged_slots.len() {
             self.slot_stage_idx[self.staged_slots[si] as usize] = u32::MAX;
             self.list_pool.push(std::mem::take(&mut self.staged_new[si]));
-            if let Some(list) = self.staged_lists.get_mut(si) {
-                self.list_pool.push(std::mem::take(list));
-            }
+            self.list_pool.push(std::mem::take(&mut self.staged_lists[si]));
         }
         for i in 0..self.staged_flows.len() {
             self.flow_staged[self.staged_flows[i] as usize] = false;
@@ -396,23 +354,6 @@ impl IncrementalLoads {
         self.staged_lists.clear();
         self.staged_sums.clear();
         self.staged_footprints.clear();
-    }
-
-    /// Recomputes one slot's sum from its contribution list and updates
-    /// the lazy max: a value reaching the top raises it in place; shrinking
-    /// the current top just marks it stale for the next [`Self::mcl`].
-    fn refold(&mut self, slot: u32) {
-        let s = slot as usize;
-        let old = self.sums[s];
-        let new = fold(&self.contribs[s]);
-        self.sums[s] = new;
-        let w = self.width_of[s];
-        let new_n = new / w;
-        if new_n >= self.max_norm {
-            self.max_norm = new_n;
-        } else if old / w == self.max_norm {
-            self.max_dirty = true;
-        }
     }
 
     fn rescan_max(&mut self) {
@@ -448,12 +389,6 @@ impl IncrementalLoads {
             }
         }
         best
-    }
-
-    /// Raw load on a channel slot.
-    #[inline]
-    pub fn get(&self, ch: ChannelId) -> f64 {
-        self.sums[ch as usize]
     }
 
     /// Raw load slice (indexed by channel slot).
@@ -495,33 +430,6 @@ mod tests {
         assert_eq!(scratch.argmax(topo), inc.argmax(), "argmax diverged");
     }
 
-    /// Re-route the flows incident to `a` and `b` after a placement swap.
-    #[allow(clippy::too_many_arguments)]
-    fn reroute_incident(
-        topo: &Torus,
-        graph: &CommGraph,
-        placement: &[NodeId],
-        routing: Routing,
-        cache: &RouteStencilCache,
-        inc: &mut IncrementalLoads,
-        a: u32,
-        b: u32,
-    ) {
-        for (i, f) in graph.flows().iter().enumerate() {
-            if f.src == a || f.dst == a || f.src == b || f.dst == b {
-                inc.reroute_flow(
-                    i as u32,
-                    topo,
-                    cache,
-                    routing,
-                    placement[f.src as usize],
-                    placement[f.dst as usize],
-                    f.bytes,
-                );
-            }
-        }
-    }
-
     #[test]
     fn initial_state_matches_route_graph() {
         let t = Torus::torus(&[4, 4]);
@@ -534,86 +442,57 @@ mod tests {
         }
     }
 
-    #[test]
-    fn swap_then_revert_restores_exactly() {
-        let t = Torus::torus(&[4, 4]);
-        let g = patterns::random(16, 50, 1.0, 25.0, 17);
-        let mut placement: Vec<u32> = (0..16).collect();
-        let cache = RouteStencilCache::new(&t);
-        let routing = Routing::UniformMinimal;
-        let mut inc = IncrementalLoads::new(&t, &g, &placement, routing, &cache);
-        let before: Vec<f64> = inc.as_slice().to_vec();
-        let mcl_before = inc.mcl();
-        // swap ranks 3 and 11, re-route, then swap back and re-route
-        placement.swap(3, 11);
-        reroute_incident(&t, &g, &placement, routing, &cache, &mut inc, 3, 11);
-        check_matches_scratch(&t, &g, &placement, routing, &mut inc);
-        placement.swap(3, 11);
-        reroute_incident(&t, &g, &placement, routing, &cache, &mut inc, 3, 11);
-        assert_eq!(before, inc.as_slice().to_vec());
-        assert_eq!(mcl_before, inc.mcl());
-    }
-
     proptest! {
-        /// After N random swap (and occasional revert) steps the
-        /// incremental state equals a from-scratch route_graph exactly.
-        #[test]
-        fn random_swaps_match_scratch(seed in 0u64..24, dor in proptest::bool::ANY) {
-            let t = Torus::torus(&[4, 2, 2]);
-            let g = patterns::random(16, 40, 1.0, 20.0, seed ^ 0xabcd);
-            let routing = if dor { Routing::DimOrder } else { Routing::UniformMinimal };
-            let mut placement: Vec<u32> = (0..16).collect();
-            let cache = RouteStencilCache::new(&t);
-            let mut inc = IncrementalLoads::new(&t, &g, &placement, routing, &cache);
-            let mut rng = StdRng::seed_from_u64(seed);
-            for step in 0..30 {
-                let a = rng.gen_range(0..16u32);
-                let mut b = rng.gen_range(0..15u32);
-                if b >= a { b += 1; }
-                placement.swap(a as usize, b as usize);
-                reroute_incident(&t, &g, &placement, routing, &cache, &mut inc, a, b);
-                if step % 3 == 0 {
-                    // revert, as an annealer reject would
-                    placement.swap(a as usize, b as usize);
-                    reroute_incident(&t, &g, &placement, routing, &cache, &mut inc, a, b);
-                }
-                check_matches_scratch(&t, &g, &placement, routing, &mut inc);
-            }
-        }
-
         /// The staged propose/commit/discard path: every candidate MCL
         /// equals a from-scratch evaluation of the candidate placement, and
-        /// live state tracks exactly through commits and discards.
+        /// live state tracks exactly through commits and discards. With
+        /// fewer clusters than vertices a proposal either swaps two
+        /// clusters or moves one onto an empty vertex, as annealing does.
         #[test]
-        fn staged_proposals_match_scratch(seed in 0u64..24, dor in proptest::bool::ANY) {
+        fn staged_proposals_match_scratch(
+            seed in 0u64..24,
+            dor in proptest::bool::ANY,
+            clusters in proptest::sample::select(vec![16u32, 11]),
+        ) {
             let t = Torus::torus(&[4, 2, 2]);
-            let g = patterns::random(16, 40, 1.0, 20.0, seed ^ 0x1234);
+            let g = patterns::random(clusters, 40, 1.0, 20.0, seed ^ 0x1234);
             let routing = if dor { Routing::DimOrder } else { Routing::UniformMinimal };
-            let mut placement: Vec<u32> = (0..16).collect();
+            let mut placement: Vec<u32> = (0..clusters).collect();
+            let mut contents: Vec<Option<u32>> =
+                (0..16).map(|v| (v < clusters).then_some(v)).collect();
             let cache = RouteStencilCache::new(&t);
             let mut inc = IncrementalLoads::new(&t, &g, &placement, routing, &cache);
             let mut rng = StdRng::seed_from_u64(seed);
-            for step in 0..30 {
-                let a = rng.gen_range(0..16u32);
-                let mut b = rng.gen_range(0..15u32);
-                if b >= a { b += 1; }
-                placement.swap(a as usize, b as usize);
-                for (i, f) in g.flows().iter().enumerate() {
-                    if f.src == a || f.dst == a || f.src == b || f.dst == b {
-                        inc.stage_flow(
-                            i as u32, &t, &cache, routing,
-                            placement[f.src as usize], placement[f.dst as usize], f.bytes,
-                        );
+            let place = |contents: &[Option<u32>], placement: &mut [u32], moved: &mut Vec<u32>| {
+                moved.clear();
+                for (v, c) in contents.iter().enumerate() {
+                    if let Some(c) = *c {
+                        if placement[c as usize] != v as u32 {
+                            placement[c as usize] = v as u32;
+                            moved.push(c);
+                        }
                     }
                 }
-                let cand = inc.staged_mcl();
+            };
+            let mut moved = Vec::new();
+            for step in 0..30 {
+                let va = rng.gen_range(0..16usize);
+                let mut vb = rng.gen_range(0..15usize);
+                if vb >= va { vb += 1; }
+                if contents[va].is_none() && contents[vb].is_none() {
+                    continue;
+                }
+                contents.swap(va, vb);
+                place(&contents, &mut placement, &mut moved);
+                let cand = inc.stage_moves(&placement, &moved);
                 let scratch = route_graph(&t, &g, &placement, routing);
                 prop_assert_eq!(cand, scratch.mcl(&t));
                 if step % 2 == 0 {
                     inc.commit();
                 } else {
                     inc.discard();
-                    placement.swap(a as usize, b as usize); // reject
+                    contents.swap(va, vb); // reject
+                    place(&contents, &mut placement, &mut moved);
                 }
                 check_matches_scratch(&t, &g, &placement, routing, &mut inc);
             }

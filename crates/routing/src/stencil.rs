@@ -17,7 +17,7 @@
 //! once, and lookups are counted in per-thread padded slots.
 //!
 //! Determinism contract: a stencil is built by the *same* enumerator
-//! ([`oblivious::for_each_entry`]) that drives the direct
+//! (`oblivious::for_each_entry`) that drives the direct
 //! [`crate::route_flow`], stores the raw per-variant fractions unscaled and
 //! unreordered, and the apply loop replays them in order, adding
 //! `weight * frac` exactly as the direct router does. Cached routing is

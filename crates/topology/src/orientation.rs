@@ -170,36 +170,6 @@ impl Orientation {
         }
     }
 
-    /// Sign of the axis permutation (+1 even, −1 odd).
-    pub fn perm_sign(&self) -> i32 {
-        let n = self.ndims();
-        let mut seen = [false; MAX_DIMS];
-        let mut sign = 1;
-        for start in 0..n {
-            if seen[start] {
-                continue;
-            }
-            let mut len = 0;
-            let mut cur = start;
-            while !seen[cur] {
-                seen[cur] = true;
-                cur = self.perm[cur] as usize;
-                len += 1;
-            }
-            if len % 2 == 0 {
-                sign = -sign;
-            }
-        }
-        sign
-    }
-
-    /// True for proper rotations (determinant +1): permutation sign times
-    /// (−1)^(#flips) is positive.
-    pub fn is_proper_rotation(&self) -> bool {
-        let flip_sign = if self.flips.count_ones().is_multiple_of(2) { 1 } else { -1 };
-        self.perm_sign() * flip_sign == 1
-    }
-
     /// Enumerates the full hyperoctahedral group for an `n`-cube
     /// (`2^n · n!` elements). Deterministic order: permutations in
     /// lexicographic order, flips as an inner counter.
@@ -286,23 +256,6 @@ mod tests {
         let e = cube(2, 4);
         assert_eq!(rot.apply(&Coord::new(&[0, 0]), &e), Coord::new(&[0, 3]));
         assert_eq!(rot.apply(&Coord::new(&[1, 0]), &e), Coord::new(&[0, 2]));
-        assert!(rot.is_proper_rotation());
-    }
-
-    #[test]
-    fn mirror_is_improper() {
-        let m = Orientation::new(&[0, 1], 0b01);
-        assert!(!m.is_proper_rotation());
-    }
-
-    #[test]
-    fn proper_rotation_count_2d() {
-        // square: 4 rotations out of 8 symmetries
-        let proper = Orientation::enumerate(2)
-            .into_iter()
-            .filter(|o| o.is_proper_rotation())
-            .count();
-        assert_eq!(proper, 4);
     }
 
     #[test]
