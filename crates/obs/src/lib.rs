@@ -42,15 +42,14 @@ pub mod counters {
     pub const ANNEAL_ACCEPTED: &str = "anneal.moves_accepted";
     /// Simulated-annealing proposals rejected.
     pub const ANNEAL_REJECTED: &str = "anneal.moves_rejected";
-    /// Orientation candidates ranked by the merge beam search (first-pair
-    /// candidates count whether routed or scored through their orbit
-    /// representative).
+    /// Orientation candidates the merge beam search considered, whether
+    /// routed, cut, or scored through their orbit representative.
     pub const MERGE_CANDIDATES_EVALUATED: &str = "merge.candidates_evaluated";
     /// Candidates surviving beam truncation (beam entries carried forward).
     pub const MERGE_CANDIDATES_KEPT: &str = "merge.candidates_kept";
-    /// Beam-step candidates ranked out by a worker's cut line before
-    /// their routing finished (whole skipped beam entries included); they
-    /// count in `merge.candidates_evaluated` too.
+    /// Orbit-representative candidates ranked out by a worker's cut line
+    /// before their routing finished; they count in
+    /// `merge.candidates_evaluated` too, never in `merge.symmetry_skipped`.
     pub const MERGE_CANDIDATES_PRUNED: &str = "merge.candidates_pruned";
     /// Total orientation-set sizes considered across merged children.
     pub const MERGE_ORIENTATIONS: &str = "merge.orientations_considered";
@@ -90,8 +89,8 @@ pub mod counters {
     pub const MILP_INCUMBENT_UPDATES: &str = "milp.incumbent_updates";
     /// Placement columns fixed to zero by hypercube symmetry breaking.
     pub const MILP_SYMMETRY_PRUNED: &str = "milp.symmetry_pruned";
-    /// Ranked first-pair merge candidates whose score came from their
-    /// reflection-orbit representative instead of their own routing.
+    /// First-step merge candidates that took their reflection-orbit
+    /// representative's score or cut instead of their own routing.
     pub const MERGE_SYMMETRY_SKIPPED: &str = "merge.symmetry_skipped";
 }
 

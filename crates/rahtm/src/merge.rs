@@ -3,37 +3,38 @@
 //! Solved child blocks are absorbed one at a time, in decreasing order of
 //! pairwise interaction (average pair MCL), trying every hyperoctahedral
 //! re-orientation of the incoming block against each of the best `N`
-//! partial merges retained so far. The first pair is special: every
-//! combination of both blocks' orientations is ranked, as in the paper's
+//! partial merges retained so far. The beam starts with one entry per
+//! orientation of the first block, so the first step ranks every
+//! combination of both blocks' orientations, as in the paper's
 //! walkthrough (Figure 7). `N` (the beam width) is the paper's key knob —
 //! it fixes `N = 64`; `N = 1` degenerates to the pure greedy the paper
 //! argues against, and `harness ablation` sweeps it.
 //!
-//! The first-pair ranking routes only one candidate per orbit of the
-//! torus reflections that fix both boxes: such a reflection maps a
-//! candidate to its mirror image, whose MCL is the same bit for bit under
-//! uniform-minimal routing. Every candidate is still ranked with its
-//! orbit's score, so the beam is exactly the exhaustive one (DESIGN.md
-//! §12).
+//! Every step is incremental and bounded: each beam entry carries the
+//! channel loads of the flows among its placed blocks; a candidate's MCL
+//! is computed by routing only the flows that placing the incoming block
+//! adds into a scratch accumulator, tracking the max of entry load plus
+//! scratch load over the channels it touches — no full re-routing. That
+//! running max never exceeds the final MCL, so a worker stops routing a
+//! candidate as soon as it reaches the worker's cut line (the worst of the
+//! best `N` candidates it has finished): such a candidate provably cannot
+//! make the beam (DESIGN.md §13). Positions are dense `Vec`s indexed by
+//! cluster id, keeping the per-candidate cost at `O(incident flows × path
+//! box)` at most.
 //!
-//! Later steps are incremental and bounded: each beam entry carries its
-//! accumulated channel loads; a candidate's MCL is computed by routing
-//! only the flows *incident to the incoming block* into a scratch
-//! accumulator, tracking the max of entry load plus scratch load over the
-//! channels it touches — no full re-routing. That running max never
-//! exceeds the final MCL, so a worker stops routing a candidate as soon as
-//! it reaches the worker's cut line (the worst of the best `N` candidates
-//! it has finished), and skips the rest of a beam entry whose own MCL
-//! reaches it: such a candidate provably cannot make the beam (DESIGN.md
-//! §13). Positions are dense `Vec`s indexed by cluster id, keeping the
-//! per-candidate cost at `O(incident flows × path box)` at most.
+//! The first step routes only one candidate per orbit of the torus
+//! reflections that fix both boxes: such a reflection maps a candidate to
+//! its mirror image, whose MCL is the same bit for bit under
+//! uniform-minimal routing. Every other member of an orbit is ranked with
+//! its representative's score, or dropped with its cut, so the beam is
+//! exactly that of routing every candidate in full (DESIGN.md §12).
 
 use crate::block::Block;
 use rahtm_commgraph::{CommGraph, Flow, Rank};
 use rahtm_lp::Deadline;
 use rahtm_obs::{counters, Recorder};
 use rahtm_routing::{ChannelLoads, RouteStencilCache, Routing};
-use rahtm_topology::{ChannelId, Coord, NodeId, Orientation, Torus};
+use rahtm_topology::{Coord, NodeId, Orientation, Torus};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -107,14 +108,15 @@ pub struct MergeResult {
     /// Candidates surviving beam truncation across all steps (the beam
     /// entries actually carried forward).
     pub candidates_kept: usize,
-    /// Beam-step candidates ranked out by the cut line (DESIGN.md §13):
-    /// part of `candidates_evaluated`, but never routed to their full MCL.
-    /// A later step of a wide beam splits its entries across workers, each
-    /// with its own cut line, so this depends on the worker count once
+    /// Routed candidates ranked out by the cut line (DESIGN.md §13): part
+    /// of `candidates_evaluated`, but never routed to their full MCL. Only
+    /// orbit representatives count, so this and `symmetry_skipped` are
+    /// disjoint. A step of a wide beam splits its entries across workers,
+    /// each with its own cut line, so this depends on the worker count once
     /// `beam_width ≥ 16`.
     pub candidates_pruned: usize,
-    /// First-pair candidates scored through their reflection-orbit
-    /// representative instead of being routed themselves.
+    /// First-step candidates that took their reflection-orbit
+    /// representative's score or cut instead of being routed themselves.
     pub symmetry_skipped: usize,
     /// Whether the wall-clock deadline cut the orientation search short
     /// (unsearched children were composed with identity orientation).
@@ -124,15 +126,14 @@ pub struct MergeResult {
 struct BeamEntry {
     /// chosen orientation index per child (UNSET for unplaced children)
     choices: Vec<usize>,
-    loads: ChannelLoads,
+    /// loads of the flows among the placed children (`None`: all zero)
+    loads: Option<ChannelLoads>,
     mcl: f64,
 }
 
 const UNSET: usize = usize::MAX;
 
-/// A ranked candidate: `(mcl, first index, second index)`. The indices are
-/// the two children's orientations for the first pair, and the beam entry
-/// and incoming orientation for later steps.
+/// A ranked candidate: `(mcl, beam entry, incoming orientation)`.
 type Ranked = (f64, usize, usize);
 
 /// Sorts candidates by MCL, ties broken by index, so the ranking does not
@@ -164,15 +165,21 @@ pub fn merge_blocks(
         parent_origin,
         parent_extent,
         opts,
-        rank_first_pair,
-        true,
+        Shortcuts { quotient: true, bound: true },
     )
 }
 
-/// [`merge_blocks`] with the first-pair ranking supplied by the caller
-/// (the tests pass an exhaustive reference); `bound` off holds every beam
-/// step's cut line at +∞, so every candidate is routed in full.
-#[allow(clippy::too_many_arguments)]
+/// The search's two exact shortcuts. Switching both off gives the
+/// reference search, which routes every candidate in full.
+#[derive(Clone, Copy)]
+struct Shortcuts {
+    /// Route one first-step candidate per reflection orbit (DESIGN.md §12).
+    quotient: bool,
+    /// Stop routing a candidate once it cannot make the beam (DESIGN.md §13).
+    bound: bool,
+}
+
+/// [`merge_blocks`] with a choice of [`Shortcuts`].
 fn merge_with(
     topo: &Torus,
     graph: &CommGraph,
@@ -180,8 +187,7 @@ fn merge_with(
     parent_origin: &Coord,
     parent_extent: &Coord,
     opts: &MergeOptions,
-    rank_first: impl Fn(&FirstPair<'_>) -> (Vec<Ranked>, usize),
-    bound: bool,
+    shortcuts: Shortcuts,
 ) -> MergeResult {
     assert!(!children.is_empty());
     let local_cache;
@@ -225,7 +231,6 @@ fn merge_with(
     }
 
     let nclusters = graph.num_ranks() as usize;
-    let chans: Vec<(ChannelId, f64)> = topo.channels().map(|c| (c.id, c.width)).collect();
 
     // Orientation list per child.
     let orient_sets: Vec<Vec<Orientation>> = children
@@ -286,101 +291,55 @@ fn merge_with(
         orient_sets.iter().map(|os| os.len() as u64).sum(),
     );
 
+    // The beam starts with one entry per orientation of the first child,
+    // in orientation order: placed, but with nothing routed yet. They all
+    // share one zero accumulator.
+    let a = order[0];
+    let zero = ChannelLoads::new(topo);
+    let mut beam: Vec<BeamEntry> = (0..orient_sets[a].len())
+        .map(|oa| {
+            let mut choices = vec![UNSET; children.len()];
+            choices[a] = oa;
+            BeamEntry { choices, loads: None, mcl: 0.0 }
+        })
+        .collect();
+    let mut placed: Vec<usize> = vec![a];
+    // children whose flows among themselves the entries' loads hold
+    let mut routed = vec![false; children.len()];
+
+    let keep = opts.beam_width.max(1);
+    let mut width_of = vec![1.0f64; topo.num_channel_slots()];
+    for ch in topo.channels() {
+        width_of[ch.id as usize] = ch.width;
+    }
     let mut candidates_evaluated = 0usize;
     let mut candidates_kept = 0usize;
+    let mut candidates_pruned = 0usize;
+    let mut symmetry_skipped = 0usize;
     let mut deadline_polls = 1usize; // the entry check above
+    let mut deadline_hit = false;
     let mut node_of = vec![UNPLACED; nclusters];
     // Recycled accumulators for beam re-scoring: entries evicted from the
     // beam donate their allocation back instead of dropping it.
     let mut pool: Vec<ChannelLoads> = Vec::new();
 
-    // --- First pair: every orientation pair, one routed score per orbit. ---
-    let (a, b) = (order[0], order[1]);
-    let pair_flows: Vec<&(Rank, Rank, f64)> = local_flows
-        .iter()
-        .filter(|&&(s, d, _)| {
-            let (cs, cd) = (child_of[s as usize], child_of[d as usize]);
-            (cs == a || cs == b) && (cd == a || cd == b)
-        })
-        .collect();
-    let mut beam: Vec<BeamEntry> = Vec::new();
-    let symmetry_skipped;
-    {
-        let first = FirstPair {
-            topo,
-            stencils,
-            routing: opts.routing,
-            nclusters,
-            chans: &chans,
-            placements: [&positions[a], &positions[b]],
-            flows: &pair_flows,
-            reflections: pair_reflections(
-                topo,
-                opts.routing,
-                [&children[a], &children[b]],
-                [&orient_sets[a], &orient_sets[b]],
-            ),
-            thread_cap: opts.thread_cap,
-        };
-        let (mut ranked, skipped) = rank_first(&first);
-        symmetry_skipped = skipped;
-        candidates_evaluated += ranked.len();
-        ranked.truncate(opts.beam_width.max(1));
-        for (_, oa, ob) in ranked {
-            let mut loads = match pool.pop() {
-                Some(mut l) => {
-                    l.clear();
-                    l
-                }
-                None => ChannelLoads::new(topo),
-            };
-            for &(m, nd) in positions[a][oa].iter().chain(&positions[b][ob]) {
-                node_of[m as usize] = nd;
+    // --- Each step: incoming orientations × beam entries. ---
+    for (step, &next) in order.iter().enumerate().skip(1) {
+        if step > 1 {
+            deadline_polls += 1;
+            if opts.deadline.is_expired() {
+                // out of time: children not yet searched keep their
+                // identity orientation (filled in below)
+                deadline_hit = true;
+                break;
             }
-            for &&(s, d, bytes) in &pair_flows {
-                stencils.route_flow(
-                    topo,
-                    opts.routing,
-                    node_of[s as usize],
-                    node_of[d as usize],
-                    bytes,
-                    &mut loads,
-                );
-            }
-            for &(m, _) in positions[a][oa].iter().chain(&positions[b][ob]) {
-                node_of[m as usize] = UNPLACED;
-            }
-            let mcl = loads.mcl(topo);
-            let mut choices = vec![UNSET; children.len()];
-            choices[a] = oa;
-            choices[b] = ob;
-            beam.push(BeamEntry { choices, loads, mcl });
         }
-        candidates_kept += beam.len();
-    }
-
-    // --- Subsequent blocks: incoming orientations × beam entries. ---
-    let keep = opts.beam_width.max(1);
-    let mut width_of = vec![1.0f64; topo.num_channel_slots()];
-    for &(id, w) in &chans {
-        width_of[id as usize] = w;
-    }
-    let mut candidates_pruned = 0usize;
-    let mut deadline_hit = false;
-    let mut placed: Vec<usize> = vec![a, b];
-    for &next in order.iter().skip(2) {
-        deadline_polls += 1;
-        if opts.deadline.is_expired() {
-            // out of time: children not yet searched keep their identity
-            // orientation (filled in below)
-            deadline_hit = true;
-            break;
-        }
-        // flows incident to `next` with the other endpoint placed or
-        // internal to `next`
-        let placed_mask: Vec<bool> = {
+        // flows with both endpoints placed after this step that the
+        // entries' loads do not hold yet: on the first step every flow
+        // inside the pair, later the flows incident to `next`
+        let in_step: Vec<bool> = {
             let mut m = vec![false; children.len()];
-            for &p in &placed {
+            for &p in placed.iter().chain([&next]) {
                 m[p] = true;
             }
             m
@@ -388,115 +347,151 @@ fn merge_with(
         let incident: Vec<&(Rank, Rank, f64)> = local_flows
             .iter()
             .filter(|&&(s, d, _)| {
-                let cs = child_of[s as usize];
-                let cd = child_of[d as usize];
-                (cs == next && (placed_mask[cd] || cd == next))
-                    || (cd == next && placed_mask[cs])
+                let (cs, cd) = (child_of[s as usize], child_of[d as usize]);
+                in_step[cs] && in_step[cd] && !(routed[cs] && routed[cd])
             })
             .collect();
+        let n_orient = orient_sets[next].len();
+        // The first step's entries are `a`'s orientations in order, so a
+        // reflection fixing both boxes acts on candidate `entry · n_orient
+        // + orientation` through its actions on both orientation sets.
+        // Later steps have no quotient.
+        let reflections = if shortcuts.quotient && step == 1 {
+            pair_reflections(
+                topo,
+                opts.routing,
+                [&children[a], &children[next]],
+                [&orient_sets[a], &orient_sets[next]],
+            )
+        } else {
+            Vec::new()
+        };
+        // An orbit's representative is its least candidate index, so a
+        // worker meets it before the rest of its orbit.
+        let rep_of = |i: usize| {
+            reflections
+                .iter()
+                .fold(i, |r, [ga, gb]| r.min(ga[i / n_orient] * n_orient + gb[i % n_orient]))
+        };
         // Parallelize over beam entries (each worker owns a scratch
-        // accumulator, a positions array and a cut line), deterministic
-        // sort after.
-        let n_threads = num_worker_threads(beam.len(), opts.thread_cap);
+        // accumulator, a positions array and a cut line) within the core
+        // budget shared with concurrent slice workers. A worker returns one
+        // score per candidate of its entries: `None` for a cut one, or one
+        // its representative stands for.
+        let n_threads = crate::cores::workers_for(beam.len(), opts.thread_cap);
         let chunk = beam.len().div_ceil(n_threads);
-        let (mut ranked, pruned): (Vec<Ranked>, usize) = crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..n_threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(beam.len());
-                let beam = &beam;
-                let placed = &placed;
-                let positions = &positions;
-                let incident = &incident;
-                let width_of = &width_of;
-                let n_orient = orient_sets[next].len();
-                handles.push(scope.spawn(move |_| {
-                    let mut node_of = vec![UNPLACED; nclusters];
-                    let mut scratch = ChannelLoads::new(topo);
-                    let mut cut = bound.then(|| CutLine::new(keep));
-                    let mut out = Vec::new();
-                    let mut pruned = 0usize;
-                    for (ei, entry) in beam.iter().enumerate().take(hi).skip(lo) {
-                        // set placed positions for this entry
-                        for &pc in placed {
-                            for &(m, nd) in &positions[pc][entry.choices[pc]] {
-                                node_of[m as usize] = nd;
-                            }
-                        }
-                        for oi in 0..n_orient {
-                            let threshold = cut.as_ref().map_or(f64::INFINITY, CutLine::threshold);
-                            if entry.mcl >= threshold {
-                                // every orientation left scores at least
-                                // the entry's own MCL
-                                pruned += n_orient - oi;
-                                break;
-                            }
-                            for &(m, nd) in &positions[next][oi] {
-                                node_of[m as usize] = nd;
-                            }
-                            scratch.clear();
-                            // incremental MCL: untouched channels keep the
-                            // entry's loads, and a touched channel's load
-                            // only grows, so the running max is a lower
-                            // bound at every flow boundary and exact after
-                            // the last flow
-                            let mut mcl = entry.mcl;
-                            let mut flows = incident.iter();
-                            let cut_off = loop {
-                                if mcl >= threshold {
-                                    break true;
+        let (scores, pruned): (Vec<Option<f64>>, usize) = crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = beam
+                .chunks(chunk)
+                .enumerate()
+                .map(|(t, entries)| {
+                    let (placed, positions, incident) = (&placed, &positions, &incident);
+                    let (width_of, zero, rep_of) = (&width_of, &zero, &rep_of);
+                    scope.spawn(move |_| {
+                        let mut node_of = vec![UNPLACED; nclusters];
+                        let mut scratch = ChannelLoads::new(topo);
+                        let mut cut = shortcuts.bound.then(|| CutLine::new(keep));
+                        let mut out = Vec::with_capacity(entries.len() * n_orient);
+                        let mut pruned = 0usize;
+                        for (ei, entry) in (t * chunk..).zip(entries) {
+                            let base = entry.loads.as_ref().unwrap_or(zero);
+                            for &pc in placed {
+                                for &(m, nd) in &positions[pc][entry.choices[pc]] {
+                                    node_of[m as usize] = nd;
                                 }
-                                let Some(&&(s, d, bytes)) = flows.next() else {
-                                    break false;
+                            }
+                            for oi in 0..n_orient {
+                                let i = ei * n_orient + oi;
+                                if rep_of(i) != i {
+                                    out.push(None);
+                                    continue;
+                                }
+                                let threshold =
+                                    cut.as_ref().map_or(f64::INFINITY, CutLine::threshold);
+                                if entry.mcl >= threshold {
+                                    // scores at least the entry's own MCL
+                                    pruned += 1;
+                                    out.push(None);
+                                    continue;
+                                }
+                                for &(m, nd) in &positions[next][oi] {
+                                    node_of[m as usize] = nd;
+                                }
+                                scratch.clear();
+                                // incremental MCL: untouched channels keep the
+                                // entry's loads, and a touched channel's load
+                                // only grows, so the running max is a lower
+                                // bound at every flow boundary and exact after
+                                // the last flow
+                                let mut mcl = entry.mcl;
+                                let mut flows = incident.iter();
+                                let cut_off = loop {
+                                    if mcl >= threshold {
+                                        break true;
+                                    }
+                                    let Some(&&(s, d, bytes)) = flows.next() else {
+                                        break false;
+                                    };
+                                    stencils.for_each_load(
+                                        topo,
+                                        opts.routing,
+                                        node_of[s as usize],
+                                        node_of[d as usize],
+                                        bytes,
+                                        |slot, v| {
+                                            scratch.add(slot, v);
+                                            let load = (base.get(slot) + scratch.get(slot))
+                                                / width_of[slot as usize];
+                                            if load > mcl {
+                                                mcl = load;
+                                            }
+                                        },
+                                    );
                                 };
-                                stencils.for_each_load(
-                                    topo,
-                                    opts.routing,
-                                    node_of[s as usize],
-                                    node_of[d as usize],
-                                    bytes,
-                                    |slot, v| {
-                                        scratch.add(slot, v);
-                                        let load = (entry.loads.get(slot) + scratch.get(slot))
-                                            / width_of[slot as usize];
-                                        if load > mcl {
-                                            mcl = load;
-                                        }
-                                    },
-                                );
-                            };
-                            if cut_off {
-                                pruned += 1;
-                            } else {
-                                if let Some(cut) = &mut cut {
-                                    cut.record(mcl);
+                                for &(m, _) in &positions[next][oi] {
+                                    node_of[m as usize] = UNPLACED;
                                 }
-                                out.push((mcl, ei, oi));
+                                if cut_off {
+                                    pruned += 1;
+                                    out.push(None);
+                                } else {
+                                    if let Some(cut) = &mut cut {
+                                        cut.record(mcl);
+                                    }
+                                    out.push(Some(mcl));
+                                }
                             }
-                            for &(m, _) in &positions[next][oi] {
-                                node_of[m as usize] = UNPLACED;
+                            for &pc in placed {
+                                for &(m, _) in &positions[pc][entry.choices[pc]] {
+                                    node_of[m as usize] = UNPLACED;
+                                }
                             }
                         }
-                        for &pc in placed {
-                            for &(m, _) in &positions[pc][entry.choices[pc]] {
-                                node_of[m as usize] = UNPLACED;
-                            }
-                        }
-                    }
-                    (out, pruned)
-                }));
-            }
+                        (out, pruned)
+                    })
+                })
+                .collect();
             handles
                 .into_iter()
-                .fold((Vec::new(), 0), |(mut ranked, pruned), h| {
+                .fold((Vec::new(), 0), |(mut scores, pruned), h| {
                     let (out, p) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-                    ranked.extend(out);
-                    (ranked, pruned + p)
+                    scores.extend(out);
+                    (scores, pruned + p)
                 })
         })
         .unwrap_or_else(|p| std::panic::resume_unwind(p));
+        // Every member of an orbit takes its representative's score, or
+        // its cut (DESIGN.md §12–13).
+        let mut ranked: Vec<Ranked> = Vec::new();
+        for i in 0..scores.len() {
+            let rep = rep_of(i);
+            symmetry_skipped += usize::from(rep != i);
+            if let Some(mcl) = scores[rep] {
+                ranked.push((mcl, i / n_orient, i % n_orient));
+            }
+        }
         candidates_pruned += pruned;
-        candidates_evaluated += ranked.len() + pruned;
+        candidates_evaluated += scores.len();
         sort_ranked(&mut ranked);
         ranked.truncate(keep);
         let mut new_beam = Vec::with_capacity(ranked.len());
@@ -510,12 +505,13 @@ fn merge_with(
             for &(m, nd) in &positions[next][oi] {
                 node_of[m as usize] = nd;
             }
+            let base = entry.loads.as_ref().unwrap_or(&zero);
             let mut loads = match pool.pop() {
                 Some(mut l) => {
-                    l.copy_from(&entry.loads);
+                    l.copy_from(base);
                     l
                 }
-                None => entry.loads.clone(),
+                None => base.clone(),
             };
             for &&(s, d, bytes) in &incident {
                 stencils.route_flow(
@@ -538,12 +534,15 @@ fn merge_with(
             let mcl = loads.mcl(topo);
             let mut choices = entry.choices.clone();
             choices[next] = oi;
-            new_beam.push(BeamEntry { choices, loads, mcl });
+            new_beam.push(BeamEntry { choices, loads: Some(loads), mcl });
         }
         candidates_kept += new_beam.len();
         let evicted = std::mem::replace(&mut beam, new_beam);
-        pool.extend(evicted.into_iter().map(|e| e.loads));
+        pool.extend(evicted.into_iter().filter_map(|e| e.loads));
         placed.push(next);
+        for &p in &placed {
+            routed[p] = true;
+        }
     }
 
     // best entry -> composed parent block; children the (possibly
@@ -563,7 +562,7 @@ fn merge_with(
             .enumerate()
             .map(|(i, &c)| if c == UNSET { identity_choice[i] } else { c })
             .collect(),
-        // beam is non-empty by construction (the first pair always yields
+        // beam is non-empty by construction (the first step always yields
         // at least one entry); identity everywhere is the safe fallback
         None => identity_choice.clone(),
     };
@@ -644,127 +643,7 @@ impl CutLine {
     }
 }
 
-/// Worker-thread count for a task of `items` independent units, delegated
-/// to the central core-budget helper so this phase shares the machine
-/// with concurrent slice workers and MILP branch-and-bound threads.
-fn num_worker_threads(items: usize, cap: usize) -> usize {
-    crate::cores::workers_for(items, cap)
-}
-
-/// The first pair's search space: both children's member nodes under each
-/// of their orientations, and the flows among their members.
-struct FirstPair<'a> {
-    topo: &'a Torus,
-    stencils: &'a RouteStencilCache,
-    routing: Routing,
-    nclusters: usize,
-    chans: &'a [(ChannelId, f64)],
-    /// `placements[i][o]`: member nodes of pair child `i` under orientation `o`.
-    placements: [&'a [Vec<(Rank, NodeId)>]; 2],
-    flows: &'a [&'a (Rank, Rank, f64)],
-    /// Non-identity symmetries of the candidate set (see [`pair_reflections`]).
-    reflections: Vec<[Vec<usize>; 2]>,
-    thread_cap: usize,
-}
-
-impl FirstPair<'_> {
-    /// MCL of the pair's flows with the children oriented `oa` and `ob`.
-    /// `node_of` must come back as it went in: all `UNPLACED`.
-    fn score(
-        &self,
-        oa: usize,
-        ob: usize,
-        node_of: &mut [NodeId],
-        scratch: &mut ChannelLoads,
-    ) -> f64 {
-        let [pa, pb] = self.placements;
-        for &(m, nd) in pa[oa].iter().chain(&pb[ob]) {
-            node_of[m as usize] = nd;
-        }
-        scratch.clear();
-        for &&(s, d, bytes) in self.flows {
-            self.stencils.route_flow(
-                self.topo,
-                self.routing,
-                node_of[s as usize],
-                node_of[d as usize],
-                bytes,
-                scratch,
-            );
-        }
-        let mut mcl = 0.0f64;
-        for &(id, w) in self.chans {
-            let v = scratch.get(id) / w;
-            if v > mcl {
-                mcl = v;
-            }
-        }
-        for &(m, _) in pa[oa].iter().chain(&pb[ob]) {
-            node_of[m as usize] = UNPLACED;
-        }
-        mcl
-    }
-}
-
-/// Ranks every first-pair candidate `(mcl, oa, ob)`, routing only one
-/// representative per reflection orbit: every member of an orbit has the
-/// same MCL bit for bit (DESIGN.md §12). Returns the sorted ranking and
-/// the number of candidates scored through their representative.
-fn rank_first_pair(fp: &FirstPair<'_>) -> (Vec<Ranked>, usize) {
-    let nb = fp.placements[1].len();
-    let total = fp.placements[0].len() * nb;
-    // An orbit's representative is its least candidate index, so it is
-    // met before the rest of its orbit.
-    let mut reps: Vec<usize> = Vec::new();
-    let mut slot = vec![0usize; total]; // candidate -> its orbit's index in `reps`
-    for i in 0..total {
-        let (oa, ob) = (i / nb, i % nb);
-        let rep = fp
-            .reflections
-            .iter()
-            .fold(i, |r, [ga, gb]| r.min(ga[oa] * nb + gb[ob]));
-        slot[i] = if rep == i {
-            reps.push(i);
-            reps.len() - 1
-        } else {
-            slot[rep]
-        };
-    }
-    // Representatives are embarrassingly parallel: chunk them across
-    // crossbeam scoped threads, each with its own scratch accumulator.
-    let chunk = reps.len().div_ceil(num_worker_threads(reps.len(), fp.thread_cap));
-    let scores: Vec<f64> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = reps
-            .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move |_| {
-                    let mut node_of = vec![UNPLACED; fp.nclusters];
-                    let mut scratch = ChannelLoads::new(fp.topo);
-                    part.iter()
-                        .map(|&i| fp.score(i / nb, i % nb, &mut node_of, &mut scratch))
-                        .collect::<Vec<f64>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| {
-                h.join()
-                    .unwrap_or_else(|p| std::panic::resume_unwind(p))
-            })
-            .collect()
-    })
-    .unwrap_or_else(|p| std::panic::resume_unwind(p));
-    let mut ranked: Vec<Ranked> = slot
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| (scores[s], i / nb, i % nb))
-        .collect();
-    sort_ranked(&mut ranked);
-    (ranked, total - reps.len())
-}
-
-/// The non-identity global reflections that map both first-pair boxes onto
+/// The non-identity global reflections that map both first-step boxes onto
 /// themselves, each as its action `[on a's, on b's]` orientation indices.
 ///
 /// Reflecting dimension `d` is `x ↦ (c − x) mod k` with `c = 2·origin +
@@ -1162,7 +1041,7 @@ mod tests {
 
     #[test]
     fn three_block_merge_uses_incremental_path() {
-        // 3 children exercise the post-first-pair incremental branch
+        // 3 children exercise a step on top of routed beam entries
         let topo = Torus::mesh(&[2, 3]);
         let g = patterns::random(6, 14, 1.0, 8.0, 42);
         let children: Vec<PositionedBlock> = (0..3)
@@ -1288,21 +1167,6 @@ mod tests {
         }
     }
 
-    /// Scores every first-pair candidate by routing it: the search the
-    /// orbit quotient must reproduce bit for bit.
-    fn exhaustive_first_pair(fp: &FirstPair<'_>) -> (Vec<Ranked>, usize) {
-        let mut node_of = vec![UNPLACED; fp.nclusters];
-        let mut scratch = ChannelLoads::new(fp.topo);
-        let mut ranked = Vec::new();
-        for oa in 0..fp.placements[0].len() {
-            for ob in 0..fp.placements[1].len() {
-                ranked.push((fp.score(oa, ob, &mut node_of, &mut scratch), oa, ob));
-            }
-        }
-        sort_ranked(&mut ranked);
-        (ranked, 0)
-    }
-
     /// A merge problem: children tiling a parent box on some machine.
     struct Case {
         topo: Torus,
@@ -1312,62 +1176,60 @@ mod tests {
         parent_extent: Coord,
     }
 
+    const FULL: Shortcuts = Shortcuts { quotient: false, bound: false };
+    const QUOTIENT: Shortcuts = Shortcuts { quotient: true, bound: false };
+    const BOUND: Shortcuts = Shortcuts { quotient: false, bound: true };
+    const BOTH: Shortcuts = Shortcuts { quotient: true, bound: true };
+
     impl Case {
-        /// Merges with `rank` ranking the first pair and the beam-step
-        /// cut line on or off; also returns the first-pair ranking (empty
-        /// when the merge never searched).
-        fn merge(
-            &self,
-            opts: &MergeOptions,
-            rank: fn(&FirstPair<'_>) -> (Vec<Ranked>, usize),
-            bound: bool,
-        ) -> (MergeResult, Vec<Ranked>) {
-            let seen = std::cell::RefCell::new(Vec::new());
-            let r = merge_with(
+        fn merge(&self, opts: &MergeOptions, shortcuts: Shortcuts) -> MergeResult {
+            merge_with(
                 &self.topo,
                 &self.graph,
                 &self.children,
                 &self.parent_origin,
                 &self.parent_extent,
                 opts,
-                |fp| {
-                    let out = rank(fp);
-                    *seen.borrow_mut() = out.0.clone();
-                    out
-                },
-                bound,
-            );
-            (r, seen.into_inner())
+                shortcuts,
+            )
         }
 
-        /// Asserts the quotient search returns exactly what the exhaustive
-        /// one does; returns the quotient's skipped count.
+        /// Asserts the search with `shortcuts` returns exactly what the
+        /// reference search, which routes every candidate in full, does;
+        /// returns the shortcut search's result.
+        fn assert_matches_full(&self, opts: &MergeOptions, shortcuts: Shortcuts) -> MergeResult {
+            let fast = self.merge(opts, shortcuts);
+            let full = self.merge(opts, FULL);
+            assert_eq!(fast.block.members, full.block.members);
+            assert_eq!(fast.mcl.to_bits(), full.mcl.to_bits());
+            assert_eq!(fast.candidates_evaluated, full.candidates_evaluated);
+            assert_eq!(fast.candidates_kept, full.candidates_kept);
+            assert_eq!((full.candidates_pruned, full.symmetry_skipped), (0, 0));
+            if !shortcuts.quotient {
+                assert_eq!(fast.symmetry_skipped, 0);
+            }
+            if !shortcuts.bound {
+                assert_eq!(fast.candidates_pruned, 0);
+            }
+            fast
+        }
+
+        /// Asserts the orbit quotient is exact, alone and under the cut
+        /// line; returns the number of candidates it skipped.
         fn assert_quotient_exact(&self, opts: &MergeOptions) -> usize {
-            let (fast, fast_ranked) = self.merge(opts, rank_first_pair, true);
-            let (slow, slow_ranked) = self.merge(opts, exhaustive_first_pair, true);
-            let bits = |r: &[Ranked]| -> Vec<(u64, usize, usize)> {
-                r.iter().map(|&(m, x, y)| (m.to_bits(), x, y)).collect()
-            };
-            assert_eq!(bits(&fast_ranked), bits(&slow_ranked), "first-pair ranking");
-            assert_eq!(fast.block.members, slow.block.members);
-            assert_eq!(fast.mcl.to_bits(), slow.mcl.to_bits());
-            assert_eq!(fast.candidates_evaluated, slow.candidates_evaluated);
-            assert_eq!(fast.candidates_kept, slow.candidates_kept);
-            assert_eq!(slow.symmetry_skipped, 0);
-            fast.symmetry_skipped
+            let alone = self.assert_matches_full(opts, QUOTIENT);
+            let bounded = self.assert_matches_full(opts, BOTH);
+            assert_eq!(bounded.symmetry_skipped, alone.symmetry_skipped);
+            alone.symmetry_skipped
         }
 
-        /// Asserts the beam-step cut line changes nothing against routing
-        /// every candidate in full; returns the bounded run's pruned count.
+        /// Asserts the cut line is exact, alone and with the orbit
+        /// quotient; returns the number of candidates both together cut.
         fn assert_bound_exact(&self, opts: &MergeOptions) -> usize {
-            let (fast, _) = self.merge(opts, rank_first_pair, true);
-            let (slow, _) = self.merge(opts, rank_first_pair, false);
-            assert_eq!(fast.block.members, slow.block.members);
-            assert_eq!(fast.mcl.to_bits(), slow.mcl.to_bits());
-            assert_eq!(fast.candidates_evaluated, slow.candidates_evaluated);
-            assert_eq!(fast.candidates_kept, slow.candidates_kept);
-            assert_eq!(slow.candidates_pruned, 0);
-            fast.candidates_pruned
+            self.assert_matches_full(opts, BOUND);
+            let both = self.assert_matches_full(opts, BOTH);
+            assert_eq!(both.symmetry_skipped, self.merge(opts, QUOTIENT).symmetry_skipped);
+            both.candidates_pruned
         }
     }
 
@@ -1375,8 +1237,9 @@ mod tests {
     /// (extent-2 wraps become meshes), children of extent 1–4 tiling a
     /// parent box at a random origin, members shuffled. At most three
     /// dimensions are non-flat and at most eight children, so the
-    /// exhaustive reference stays cheap.
-    fn random_case(seed: u64) -> Case {
+    /// reference search stays cheap. With `equal_bytes` every flow carries
+    /// the same volume, so candidates tie often.
+    fn random_case(seed: u64, equal_bytes: bool) -> Case {
         use rand::seq::SliceRandom;
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1432,10 +1295,12 @@ mod tests {
             })
             .collect();
         let clusters = ids.len() as u32;
+        let max_bytes = if equal_bytes { 1.0 } else { 8.0 };
         let graph = if rng.gen_bool(0.25) {
             patterns::all_to_all(clusters, 1.0)
         } else {
-            patterns::random(clusters, rng.gen_range(1..4 * ids.len() + 1), 1.0, 8.0, rng.gen())
+            let flows = rng.gen_range(1..4 * ids.len() + 1);
+            patterns::random(clusters, flows, 1.0, max_bytes, rng.gen())
         };
         let parent_extent: Vec<u16> = (0..n).map(|d| extent.get(d) * tiles[d]).collect();
         Case {
@@ -1452,19 +1317,23 @@ mod tests {
             if cfg!(debug_assertions) { 24 } else { 400 }
         ))]
 
-        /// The orbit quotient changes nothing: same first-pair ranking,
-        /// same merged block, same MCL bits as routing every candidate,
-        /// under any orientation-set restriction. DOR gets no quotient.
+        /// The orbit quotient changes nothing: same merged block, MCL bits
+        /// and candidate counts as routing every candidate in full, alone
+        /// or under the cut line, for one worker or all of them, under any
+        /// orientation-set restriction. DOR gets no quotient.
         #[test]
         fn orbit_quotient_matches_exhaustive_search(
             seed in 0..u64::MAX,
+            equal_bytes in proptest::bool::ANY,
             flips_only in proptest::bool::ANY,
             beam_width in proptest::sample::select(vec![1usize, 4, 64]),
+            thread_cap in proptest::sample::select(vec![1usize, 0]),
         ) {
-            let case = random_case(seed);
+            let case = random_case(seed, equal_bytes);
             let opts = MergeOptions {
                 beam_width,
                 full_group_member_limit: if flips_only { 0 } else { 64 },
+                thread_cap,
                 ..Default::default()
             };
             case.assert_quotient_exact(&opts);
@@ -1472,18 +1341,19 @@ mod tests {
             proptest::prop_assert_eq!(case.assert_quotient_exact(&dor), 0);
         }
 
-        /// The beam-step cut line changes nothing: same merged block, MCL
-        /// bits and candidate counts as routing every candidate in full,
-        /// for one worker or all of them, under either routing model and
-        /// any orientation-set restriction.
+        /// The cut line changes nothing: same merged block, MCL bits and
+        /// candidate counts as routing every candidate in full, alone or
+        /// with the orbit quotient, for one worker or all of them, under
+        /// either routing model and any orientation-set restriction.
         #[test]
         fn beam_bound_matches_unbounded_search(
             seed in 0..u64::MAX,
+            equal_bytes in proptest::bool::ANY,
             flips_only in proptest::bool::ANY,
             beam_width in proptest::sample::select(vec![1usize, 4, 64]),
             thread_cap in proptest::sample::select(vec![1usize, 0]),
         ) {
-            let case = random_case(seed);
+            let case = random_case(seed, equal_bytes);
             let opts = MergeOptions {
                 beam_width,
                 full_group_member_limit: if flips_only { 0 } else { 64 },
@@ -1497,8 +1367,8 @@ mod tests {
 
     #[test]
     fn beam_bound_prunes_the_quadrant_merge() {
-        // four 2x2 quadrants of a 4x4 mesh: with a beam of one, the later
-        // steps' cut line must rank candidates out without finishing them
+        // four 2x2 quadrants of a 4x4 mesh: with a beam of one, the cut
+        // line must rank candidates out without finishing them
         let case = Case {
             topo: Torus::mesh(&[4, 4]),
             graph: patterns::random(16, 40, 1.0, 10.0, 11),

@@ -36,8 +36,9 @@ use rahtm_routing::{RouteStencilCache, Routing};
 use rahtm_topology::{BgqMachine, Coord, NodeId, SubCube, Torus};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Pipeline configuration.
@@ -389,8 +390,8 @@ impl RahtmMapper {
             cfg,
             machine,
             g_node: &g_node,
-            sub_cache: Mutex::new(HashMap::new()),
-            merge_cache: Mutex::new(HashMap::new()),
+            sub_cache: SolveCache::new(cfg.cache_subproblems),
+            merge_cache: SolveCache::new(cfg.cache_subproblems),
             // One stencil cache for the machine topology serves every
             // merge, the polish pass, and the final MCL prediction.
             machine_stencils: Arc::new(RouteStencilCache::new(topo)),
@@ -536,6 +537,35 @@ impl RahtmMapper {
     }
 }
 
+/// A memo the slice workers share: one once-cell per key, so the first
+/// worker to ask for a key solves it and a worker asking for the same key
+/// meanwhile waits for that answer instead of solving it again. A solve
+/// that panics leaves its cell empty, and the next asker solves the key.
+/// A disabled cache solves every request.
+struct SolveCache<K, V> {
+    enabled: bool,
+    cells: Mutex<HashMap<K, Arc<OnceLock<V>>>>,
+}
+
+impl<K: Eq + Hash, V: Clone> SolveCache<K, V> {
+    fn new(enabled: bool) -> Self {
+        SolveCache {
+            enabled,
+            cells: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// `key`'s answer, from `solve` when no worker has solved it yet. The
+    /// map lock is held only to fetch the key's cell.
+    fn get_or_solve(&self, key: K, solve: impl FnOnce() -> V) -> V {
+        if !self.enabled {
+            return solve();
+        }
+        let cell = Arc::clone(self.cells.lock().entry(key).or_default());
+        cell.get_or_init(solve).clone()
+    }
+}
+
 /// One run's shared state: the inputs, both solution caches, the machine
 /// stencils, the time and core budgets, and the run's recorder. Slice
 /// workers borrow it concurrently.
@@ -544,8 +574,8 @@ struct RunContext<'a> {
     machine: &'a BgqMachine,
     /// The node-cluster graph (one cluster per machine node).
     g_node: &'a CommGraph,
-    sub_cache: Mutex<HashMap<SubKey, Vec<NodeId>>>,
-    merge_cache: Mutex<HashMap<MergeKey, Vec<Coord>>>,
+    sub_cache: SolveCache<SubKey, Vec<NodeId>>,
+    merge_cache: SolveCache<MergeKey, Vec<Coord>>,
     machine_stencils: Arc<RouteStencilCache>,
     deadline: Deadline,
     /// Cores available to one slice worker's merge pool.
@@ -705,60 +735,49 @@ impl RunContext<'_> {
             for (key, mut children) in grouped {
                 children.sort_by_key(|c| c.origin.as_slice().to_vec());
                 let (mkey, canon_ids) = merge_key(g_node, &children, &key, &parent_extent);
-                if cfg.cache_subproblems {
-                    if let Some(coords) = self.merge_cache.lock().get(&mkey).cloned().as_ref() {
-                        rec.incr(counters::MERGE_CACHE_HITS);
-                        let members = canon_ids
-                            .iter()
-                            .zip(coords)
-                            .map(|(&id, &c)| (id, c))
-                            .collect();
-                        new_blocks.push(PositionedBlock {
-                            block: Block {
-                                extent: parent_extent,
-                                members,
-                            },
-                            origin: key,
-                        });
-                        continue;
+                // the solving call keeps its merged block; a cache hit
+                // rebuilds the block from the coords in canonical order
+                let mut solved = None;
+                let solve = || {
+                    rec.incr(counters::MERGE_CACHE_MISSES);
+                    let res = merge_blocks(
+                        topo,
+                        g_node,
+                        &children,
+                        &key,
+                        &parent_extent,
+                        &MergeOptions {
+                            beam_width: cfg.beam_width,
+                            routing: cfg.routing,
+                            deadline: self.deadline,
+                            recorder: rec.clone(),
+                            stencils: Some(Arc::clone(&self.machine_stencils)),
+                            thread_cap: self.core_share,
+                            ..Default::default()
+                        },
+                    );
+                    rec.gauge(&gauges::merge_mcl(sb), res.mcl);
+                    if res.deadline_hit {
+                        rec.event(format!(
+                            "merge of {} blocks (side {sb}): deadline hit, identity composition",
+                            children.len()
+                        ));
                     }
-                }
-                rec.incr(counters::MERGE_CACHE_MISSES);
-                let res = merge_blocks(
-                    topo,
-                    g_node,
-                    &children,
-                    &key,
-                    &parent_extent,
-                    &MergeOptions {
-                        beam_width: cfg.beam_width,
-                        routing: cfg.routing,
-                        deadline: self.deadline,
-                        recorder: rec.clone(),
-                        stencils: Some(Arc::clone(&self.machine_stencils)),
-                        thread_cap: self.core_share,
-                        ..Default::default()
-                    },
-                );
-                rec.gauge(&gauges::merge_mcl(sb), res.mcl);
-                if res.deadline_hit {
-                    rec.event(format!(
-                        "merge of {} blocks (side {sb}): deadline hit, identity composition",
-                        children.len()
-                    ));
-                }
-                if cfg.cache_subproblems {
-                    // store coords in canonical member order
                     let coord_of: HashMap<Rank, Coord> =
                         res.block.members.iter().cloned().collect();
-                    let coords: Vec<Coord> =
-                        canon_ids.iter().map(|id| coord_of[id]).collect();
-                    self.merge_cache.lock().insert(mkey, coords);
-                }
-                new_blocks.push(PositionedBlock {
-                    block: res.block,
-                    origin: key,
+                    let coords: Vec<Coord> = canon_ids.iter().map(|id| coord_of[id]).collect();
+                    solved = Some(res.block);
+                    coords
+                };
+                let coords = self.merge_cache.get_or_solve(mkey, solve);
+                let block = solved.unwrap_or_else(|| {
+                    rec.incr(counters::MERGE_CACHE_HITS);
+                    Block {
+                        extent: parent_extent,
+                        members: canon_ids.iter().copied().zip(coords).collect(),
+                    }
                 });
+                new_blocks.push(PositionedBlock { block, origin: key });
             }
             blocks = new_blocks;
             rec.record_span_secs(&spans::merge_side(sb), t_level.elapsed().as_secs_f64());
@@ -792,14 +811,26 @@ impl RunContext<'_> {
         graph: &CommGraph,
         stencils: &Arc<RouteStencilCache>,
     ) -> Vec<NodeId> {
-        let (cfg, rec) = (self.cfg, &self.recorder);
-        let key = sub_key(cube, graph);
-        if cfg.cache_subproblems {
-            if let Some(hit) = self.sub_cache.lock().get(&key) {
-                rec.incr(counters::SUB_CACHE_HITS);
-                return hit.clone();
-            }
+        let mut hit = true;
+        let placement = self.sub_cache.get_or_solve(sub_key(cube, graph), || {
+            hit = false;
+            self.solve_uncached(cube, graph, stencils)
+        });
+        if hit {
+            self.recorder.incr(counters::SUB_CACHE_HITS);
         }
+        placement
+    }
+
+    /// One sub-problem solve down the degradation ladder (see
+    /// [`Self::solve_subproblem`]).
+    fn solve_uncached(
+        &self,
+        cube: &Torus,
+        graph: &CommGraph,
+        stencils: &Arc<RouteStencilCache>,
+    ) -> Vec<NodeId> {
+        let (cfg, rec) = (self.cfg, &self.recorder);
         rec.incr(counters::SUB_CACHE_MISSES);
         // fault injection counts actual solves (cache hits do no work)
         let fault = cfg.fault_plan.as_ref().and_then(|p| p.check());
@@ -821,11 +852,7 @@ impl RunContext<'_> {
         // Bottom rung: no time even for annealing.
         if self.deadline.is_expired() {
             downgrade(counters::DEGRADE_GREEDY, "deadline expired, greedy placement");
-            let placement = greedy_place(cube, graph);
-            if cfg.cache_subproblems {
-                self.sub_cache.lock().insert(key, placement.clone());
-            }
-            return placement;
+            return greedy_place(cube, graph);
         }
 
         // Middle rung (and the MILP's warm incumbent): deadline-aware SA.
@@ -842,7 +869,7 @@ impl RunContext<'_> {
                 ..Default::default()
             },
         );
-        let placement = if !cfg.use_milp {
+        if !cfg.use_milp {
             // annealing IS the configured top level here — not a downgrade
             rec.incr(counters::DEGRADE_ANNEAL);
             sa.placement
@@ -902,11 +929,7 @@ impl RunContext<'_> {
                     sa.placement
                 }
             }
-        };
-        if cfg.cache_subproblems {
-            self.sub_cache.lock().insert(key, placement.clone());
         }
-        placement
     }
 }
 
@@ -1040,6 +1063,17 @@ fn sub_key(cube: &Torus, graph: &CommGraph) -> SubKey {
 mod tests {
     use super::*;
     use rahtm_commgraph::{patterns, Benchmark};
+
+    #[test]
+    fn solve_cache_retries_a_key_whose_solve_panicked() {
+        let cache: SolveCache<u32, u32> = SolveCache::new(true);
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            cache.get_or_solve(1, || panic!("injected"));
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(cache.get_or_solve(1, || 7), 7, "the panicked solve left the cell empty");
+        assert_eq!(cache.get_or_solve(1, || unreachable!("solved once")), 7);
+    }
 
     #[test]
     fn walkthrough_16_ranks_on_4x4() {

@@ -223,3 +223,51 @@ fn subproblem_caches_do_not_change_the_mapping() {
         }
     }
 }
+
+/// The sub-problem and merge caches solve every key once, even when both
+/// slice workers ask for it at the same time. A 4x4x2 torus slices into
+/// two 4x4 planes; the workload is two disjoint copies of one random
+/// graph, one per plane, so both concurrent slices ask for exactly the
+/// keys a one-slice run of a single copy asks for, and a one-slice run
+/// has no concurrent lookups at all.
+#[test]
+fn two_slice_caches_solve_each_key_once() {
+    use rahtm_repro::obs::counters;
+    let copy = patterns::random(16, 48, 1.0, 10.0, 7);
+    let mut both = CommGraph::new(32);
+    for half in 0..2 {
+        for f in copy.flows() {
+            both.add(f.src + 16 * half, f.dst + 16 * half, f.bytes);
+        }
+    }
+    let traced = |machine: &BgqMachine, graph: &CommGraph, grid: RankGrid| {
+        let journal = RahtmMapper::new(RahtmConfig::fast())
+            .with_recorder(Recorder::enabled())
+            .run(machine, graph, Some(grid))
+            .expect("run")
+            .journal
+            .expect("traced run returns its journal");
+        [
+            counters::SUB_CACHE_MISSES,
+            counters::SUB_CACHE_HITS,
+            counters::MERGE_CACHE_MISSES,
+            counters::MERGE_CACHE_HITS,
+            counters::SUBPROBLEMS_SOLVED,
+        ]
+        .map(|name| journal.counter(name).unwrap_or(0))
+    };
+    let one_slice = traced(
+        &BgqMachine::new(Torus::torus(&[4, 4]), 1, 1),
+        &copy,
+        RankGrid::new(&[4, 4]),
+    );
+    let two_slices = BgqMachine::new(Torus::torus(&[4, 4, 2]), 1, 1);
+    let first = traced(&two_slices, &both, RankGrid::new(&[4, 4, 2]));
+    let [sub_misses, _, merge_misses, _, solved] = first;
+    assert_eq!(sub_misses, one_slice[0], "sub-problem keys solved twice");
+    assert_eq!(merge_misses, one_slice[2], "merge keys solved twice");
+    assert_eq!(solved, sub_misses);
+    for _ in 0..8 {
+        assert_eq!(traced(&two_slices, &both, RankGrid::new(&[4, 4, 2])), first);
+    }
+}
