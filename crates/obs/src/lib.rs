@@ -47,9 +47,10 @@ pub mod counters {
     pub const MERGE_CANDIDATES_EVALUATED: &str = "merge.candidates_evaluated";
     /// Candidates surviving beam truncation (beam entries carried forward).
     pub const MERGE_CANDIDATES_KEPT: &str = "merge.candidates_kept";
-    /// Orbit-representative candidates ranked out by a worker's cut line
-    /// before their routing finished; they count in
-    /// `merge.candidates_evaluated` too, never in `merge.symmetry_skipped`.
+    /// Orbit-representative candidates ranked out by a cut line before
+    /// their routing finished; they count in `merge.candidates_evaluated`
+    /// too, never in `merge.symmetry_skipped`. The same on any number of
+    /// cores.
     pub const MERGE_CANDIDATES_PRUNED: &str = "merge.candidates_pruned";
     /// Total orientation-set sizes considered across merged children.
     pub const MERGE_ORIENTATIONS: &str = "merge.orientations_considered";
@@ -109,6 +110,9 @@ pub mod spans {
     pub const MERGE_SLICES: &str = "pipeline.merge.slices";
     /// Optional §VI polish pass.
     pub const POLISH: &str = "pipeline.polish";
+    /// Seconds a slice worker waited on a cached answer that another
+    /// worker was solving, recorded once per slice worker.
+    pub const WAIT: &str = "pipeline.wait";
     /// Merge level at block side `sb` (nested under [`MERGE`]).
     pub fn merge_side(sb: u16) -> String {
         format!("pipeline.merge.side{sb}")

@@ -15,12 +15,18 @@
 //! is computed by routing only the flows that placing the incoming block
 //! adds into a scratch accumulator, tracking the max of entry load plus
 //! scratch load over the channels it touches — no full re-routing. That
-//! running max never exceeds the final MCL, so a worker stops routing a
-//! candidate as soon as it reaches the worker's cut line (the worst of the
-//! best `N` candidates it has finished): such a candidate provably cannot
-//! make the beam (DESIGN.md §13). Positions are dense `Vec`s indexed by
+//! running max never exceeds the final MCL, so routing a candidate stops
+//! as soon as it reaches the cut line (the worst of the best `N`
+//! candidates finished before it): such a candidate provably cannot make
+//! the beam (DESIGN.md §13). Positions are dense `Vec`s indexed by
 //! cluster id, keeping the per-candidate cost at `O(incident flows × path
 //! box)` at most.
+//!
+//! A step scores its candidates in fixed chunks, a wave at a time, on the
+//! calling thread and on helper threads borrowed from spare cores
+//! ([`crate::cores`]). Each chunk's cut line starts from the earlier
+//! waves' best scores, so the result, prune count included, is the same
+//! on any number of cores.
 //!
 //! The first step routes only one candidate per orbit of the torus
 //! reflections that fix both boxes: such a reflection maps a candidate to
@@ -30,12 +36,14 @@
 //! exactly that of routing every candidate in full (DESIGN.md §12).
 
 use crate::block::Block;
+use crate::cores::CoreBudget;
 use rahtm_commgraph::{CommGraph, Flow, Rank};
 use rahtm_lp::Deadline;
 use rahtm_obs::{counters, Recorder};
 use rahtm_routing::{ChannelLoads, RouteStencilCache, Routing};
 use rahtm_topology::{Coord, NodeId, Orientation, Torus};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 const UNPLACED: NodeId = NodeId::MAX;
@@ -65,11 +73,12 @@ pub struct MergeOptions {
     /// when absent). The same machine topology hosts every merge of a run,
     /// so sharing amortizes stencil construction across all of them.
     pub stencils: Option<Arc<RouteStencilCache>>,
-    /// Core cap for the orientation-search worker pool (`0` = all
-    /// available cores). The pipeline sets this to the calling slice's
-    /// core share ([`crate::cores::share`]) so concurrent slice workers —
-    /// and the MILP's branch-and-bound threads — never oversubscribe the
-    /// machine between them.
+    /// Most threads one beam step runs on, the calling thread included
+    /// (`0` = no cap). A step borrows helper threads only from cores that
+    /// are spare: a direct call has the whole machine, and a pipeline run
+    /// shares one spare-core budget between its slice workers
+    /// ([`crate::cores`]), so it passes `0`. The result, counters
+    /// included, is the same for any number of threads.
     pub thread_cap: usize,
 }
 
@@ -111,9 +120,9 @@ pub struct MergeResult {
     /// Routed candidates ranked out by the cut line (DESIGN.md §13): part
     /// of `candidates_evaluated`, but never routed to their full MCL. Only
     /// orbit representatives count, so this and `symmetry_skipped` are
-    /// disjoint. A step of a wide beam splits its entries across workers,
-    /// each with its own cut line, so this depends on the worker count once
-    /// `beam_width ≥ 16`.
+    /// disjoint. Each chunk of a step has its own cut line, seeded from the
+    /// earlier waves of chunks, and the chunks do not depend on the thread
+    /// count, so neither does this.
     pub candidates_pruned: usize,
     /// First-step candidates that took their reflection-orbit
     /// representative's score or cut instead of being routed themselves.
@@ -122,6 +131,17 @@ pub struct MergeResult {
     /// (unsearched children were composed with identity orientation).
     pub deadline_hit: bool,
 }
+
+/// Orbit representatives per chunk of a beam step, for beam width
+/// `keep`: enough that a chunk's cut line fills early and outweighs the
+/// cost of handing the chunk to a thread.
+fn chunk_len(keep: usize) -> usize {
+    (16 * keep).max(256)
+}
+
+/// Chunks per wave of a beam step after the first, which is one chunk:
+/// the most threads one step runs on.
+const WAVE: usize = 4;
 
 struct BeamEntry {
     /// chosen orientation index per child (UNSET for unplaced children)
@@ -158,6 +178,27 @@ pub fn merge_blocks(
     parent_extent: &Coord,
     opts: &MergeOptions,
 ) -> MergeResult {
+    merge_within(
+        topo,
+        graph,
+        children,
+        parent_origin,
+        parent_extent,
+        opts,
+        &CoreBudget::new(crate::cores::available()),
+    )
+}
+
+/// [`merge_blocks`] whose beam steps borrow helper cores from `cores`.
+pub(crate) fn merge_within(
+    topo: &Torus,
+    graph: &CommGraph,
+    children: &[PositionedBlock],
+    parent_origin: &Coord,
+    parent_extent: &Coord,
+    opts: &MergeOptions,
+    cores: &CoreBudget,
+) -> MergeResult {
     merge_with(
         topo,
         graph,
@@ -166,6 +207,7 @@ pub fn merge_blocks(
         parent_extent,
         opts,
         Shortcuts { quotient: true, bound: true },
+        cores,
     )
 }
 
@@ -179,7 +221,8 @@ struct Shortcuts {
     bound: bool,
 }
 
-/// [`merge_blocks`] with a choice of [`Shortcuts`].
+/// [`merge_within`] with a choice of [`Shortcuts`].
+#[allow(clippy::too_many_arguments)]
 fn merge_with(
     topo: &Torus,
     graph: &CommGraph,
@@ -188,6 +231,7 @@ fn merge_with(
     parent_extent: &Coord,
     opts: &MergeOptions,
     shortcuts: Shortcuts,
+    cores: &CoreBudget,
 ) -> MergeResult {
     assert!(!children.is_empty());
     let local_cache;
@@ -373,125 +417,124 @@ fn merge_with(
                 .iter()
                 .fold(i, |r, [ga, gb]| r.min(ga[i / n_orient] * n_orient + gb[i % n_orient]))
         };
-        // Parallelize over beam entries (each worker owns a scratch
-        // accumulator, a positions array and a cut line) within the core
-        // budget shared with concurrent slice workers. A worker returns one
-        // score per candidate of its entries: `None` for a cut one, or one
-        // its representative stands for.
-        let n_threads = crate::cores::workers_for(beam.len(), opts.thread_cap);
-        let chunk = beam.len().div_ceil(n_threads);
-        let (scores, pruned): (Vec<Option<f64>>, usize) = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = beam
-                .chunks(chunk)
-                .enumerate()
-                .map(|(t, entries)| {
-                    let (placed, positions, incident) = (&placed, &positions, &incident);
-                    let (width_of, zero, rep_of) = (&width_of, &zero, &rep_of);
-                    scope.spawn(move |_| {
-                        let mut node_of = vec![UNPLACED; nclusters];
-                        let mut scratch = ChannelLoads::new(topo);
-                        let mut cut = shortcuts.bound.then(|| CutLine::new(keep));
-                        let mut out = Vec::with_capacity(entries.len() * n_orient);
-                        let mut pruned = 0usize;
-                        for (ei, entry) in (t * chunk..).zip(entries) {
-                            let base = entry.loads.as_ref().unwrap_or(zero);
-                            for &pc in placed {
-                                for &(m, nd) in &positions[pc][entry.choices[pc]] {
-                                    node_of[m as usize] = nd;
-                                }
-                            }
-                            for oi in 0..n_orient {
-                                let i = ei * n_orient + oi;
-                                if rep_of(i) != i {
-                                    out.push(None);
-                                    continue;
-                                }
-                                let threshold =
-                                    cut.as_ref().map_or(f64::INFINITY, CutLine::threshold);
-                                if entry.mcl >= threshold {
-                                    // scores at least the entry's own MCL
-                                    pruned += 1;
-                                    out.push(None);
-                                    continue;
-                                }
-                                for &(m, nd) in &positions[next][oi] {
-                                    node_of[m as usize] = nd;
-                                }
-                                scratch.clear();
-                                // incremental MCL: untouched channels keep the
-                                // entry's loads, and a touched channel's load
-                                // only grows, so the running max is a lower
-                                // bound at every flow boundary and exact after
-                                // the last flow
-                                let mut mcl = entry.mcl;
-                                let mut flows = incident.iter();
-                                let cut_off = loop {
-                                    if mcl >= threshold {
-                                        break true;
-                                    }
-                                    let Some(&&(s, d, bytes)) = flows.next() else {
-                                        break false;
-                                    };
-                                    stencils.for_each_load(
-                                        topo,
-                                        opts.routing,
-                                        node_of[s as usize],
-                                        node_of[d as usize],
-                                        bytes,
-                                        |slot, v| {
-                                            scratch.add(slot, v);
-                                            let load = (base.get(slot) + scratch.get(slot))
-                                                / width_of[slot as usize];
-                                            if load > mcl {
-                                                mcl = load;
-                                            }
-                                        },
-                                    );
-                                };
-                                for &(m, _) in &positions[next][oi] {
-                                    node_of[m as usize] = UNPLACED;
-                                }
-                                if cut_off {
-                                    pruned += 1;
-                                    out.push(None);
-                                } else {
-                                    if let Some(cut) = &mut cut {
-                                        cut.record(mcl);
-                                    }
-                                    out.push(Some(mcl));
-                                }
-                            }
-                            for &pc in placed {
-                                for &(m, _) in &positions[pc][entry.choices[pc]] {
-                                    node_of[m as usize] = UNPLACED;
-                                }
-                            }
+        // The step scores its orbit representatives in chunks, a wave of
+        // chunks at a time. A chunk's size depends only on the
+        // representative count and the beam width, and its cut line starts
+        // from the best `keep` scores of the earlier waves, so what a chunk
+        // returns does not depend on which thread ran it or on how many
+        // helper cores the wave borrowed (DESIGN.md §13). A chunk returns
+        // one score per representative: `None` for a cut one.
+        let n_cand = beam.len() * n_orient;
+        let reps: Vec<usize> = (0..n_cand).filter(|&i| rep_of(i) == i).collect();
+        let score_chunk = |chunk: &[usize], mut cut: Option<CutLine>| {
+            let mut node_of = vec![UNPLACED; nclusters];
+            let mut scratch = ChannelLoads::new(topo);
+            let mut out = Vec::with_capacity(chunk.len());
+            let mut pruned = 0usize;
+            let mut placed_entry = UNSET;
+            for &i in chunk {
+                let (ei, oi) = (i / n_orient, i % n_orient);
+                let entry = &beam[ei];
+                let threshold = cut.as_ref().map_or(f64::INFINITY, CutLine::threshold);
+                if entry.mcl >= threshold {
+                    // scores at least the entry's own MCL
+                    pruned += 1;
+                    out.push(None);
+                    continue;
+                }
+                // every entry places the same children, so placing this
+                // entry's orientations overwrites the previous entry's
+                if ei != placed_entry {
+                    for &pc in &placed {
+                        for &(m, nd) in &positions[pc][entry.choices[pc]] {
+                            node_of[m as usize] = nd;
                         }
-                        (out, pruned)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .fold((Vec::new(), 0), |(mut scores, pruned), h| {
-                    let (out, p) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-                    scores.extend(out);
-                    (scores, pruned + p)
-                })
-        })
-        .unwrap_or_else(|p| std::panic::resume_unwind(p));
+                    }
+                    placed_entry = ei;
+                }
+                for &(m, nd) in &positions[next][oi] {
+                    node_of[m as usize] = nd;
+                }
+                let base = entry.loads.as_ref().unwrap_or(&zero);
+                scratch.clear();
+                // incremental MCL: untouched channels keep the entry's
+                // loads, and a touched channel's load only grows, so the
+                // running max is a lower bound at every flow boundary and
+                // exact after the last flow
+                let mut mcl = entry.mcl;
+                let mut flows = incident.iter();
+                let cut_off = loop {
+                    if mcl >= threshold {
+                        break true;
+                    }
+                    let Some(&&(s, d, bytes)) = flows.next() else {
+                        break false;
+                    };
+                    stencils.for_each_load(
+                        topo,
+                        opts.routing,
+                        node_of[s as usize],
+                        node_of[d as usize],
+                        bytes,
+                        |slot, v| {
+                            scratch.add(slot, v);
+                            let load =
+                                (base.get(slot) + scratch.get(slot)) / width_of[slot as usize];
+                            if load > mcl {
+                                mcl = load;
+                            }
+                        },
+                    );
+                };
+                if cut_off {
+                    pruned += 1;
+                    out.push(None);
+                } else {
+                    if let Some(cut) = &mut cut {
+                        cut.record(mcl);
+                    }
+                    out.push(Some(mcl));
+                }
+            }
+            (out, pruned)
+        };
+        let mut scores: Vec<Option<f64>> = vec![None; n_cand];
+        let mut seed = shortcuts.bound.then(|| CutLine::new(keep));
+        let chunks: Vec<&[usize]> = reps.chunks(chunk_len(keep)).collect();
+        // the first wave is a single chunk, so every later chunk starts
+        // from a full cut line
+        let (first, rest) = chunks.split_at(1);
+        for wave in std::iter::once(first).chain(rest.chunks(WAVE)) {
+            let mut want = wave.len() - 1;
+            if opts.thread_cap > 0 {
+                want = want.min(opts.thread_cap - 1);
+            }
+            let helpers = cores.claim(want);
+            let outs = run_jobs(wave.len(), helpers.cores(), |c| {
+                score_chunk(wave[c], seed.clone())
+            });
+            drop(helpers);
+            for (chunk, (out, pruned)) in wave.iter().zip(outs) {
+                candidates_pruned += pruned;
+                for (&i, score) in chunk.iter().zip(out) {
+                    scores[i] = score;
+                    if let (Some(mcl), Some(seed)) = (score, &mut seed) {
+                        seed.record(mcl);
+                    }
+                }
+            }
+        }
         // Every member of an orbit takes its representative's score, or
         // its cut (DESIGN.md §12–13).
         let mut ranked: Vec<Ranked> = Vec::new();
-        for i in 0..scores.len() {
+        for i in 0..n_cand {
             let rep = rep_of(i);
             symmetry_skipped += usize::from(rep != i);
             if let Some(mcl) = scores[rep] {
                 ranked.push((mcl, i / n_orient, i % n_orient));
             }
         }
-        candidates_pruned += pruned;
-        candidates_evaluated += scores.len();
+        candidates_evaluated += n_cand;
         sort_ranked(&mut ranked);
         ranked.truncate(keep);
         let mut new_beam = Vec::with_capacity(ranked.len());
@@ -604,11 +647,14 @@ fn merge_with(
     }
 }
 
-/// The cut line of one beam-step worker: the MCLs of the best `keep`
-/// candidates it has finished, ascending. The worker visits candidates in
-/// ascending `(entry, orientation)` order, so a later candidate that
-/// provably scores at least the largest of them has `keep` candidates
-/// ahead of it in the ranking and cannot make the beam (DESIGN.md §13).
+/// The cut line of one chunk of a beam step: the MCLs of the best `keep`
+/// candidates finished before the chunk's next one, ascending. A chunk
+/// starts from the best of the earlier waves' chunks, which hold smaller
+/// indices, and visits its own candidates in ascending `(entry,
+/// orientation)` order. So a later candidate that provably scores at
+/// least the largest of them has `keep` candidates ahead of it in the
+/// ranking and cannot make the beam (DESIGN.md §13).
+#[derive(Clone)]
 struct CutLine {
     keep: usize,
     best: Vec<f64>,
@@ -641,6 +687,38 @@ impl CutLine {
         let at = self.best.partition_point(|&m| m <= mcl);
         self.best.insert(at, mcl);
     }
+}
+
+/// Runs `job` on `0..jobs` on the calling thread and up to `helpers` more,
+/// each taking the next job until none is left; returns the results in job
+/// order.
+fn run_jobs<T: Send>(jobs: usize, helpers: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let helpers = helpers.min(jobs.saturating_sub(1));
+    if helpers == 0 {
+        return (0..jobs).map(job).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let j = next.fetch_add(1, Relaxed);
+            if j >= jobs {
+                return done;
+            }
+            done.push((j, job(j)));
+        }
+    };
+    let mut done = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(|_| work())).collect();
+        let mut done = work();
+        for h in handles {
+            done.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        done
+    })
+    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+    done.sort_by_key(|&(j, _)| j);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// The non-identity global reflections that map both first-step boxes onto
@@ -1182,7 +1260,8 @@ mod tests {
     const BOTH: Shortcuts = Shortcuts { quotient: true, bound: true };
 
     impl Case {
-        fn merge(&self, opts: &MergeOptions, shortcuts: Shortcuts) -> MergeResult {
+        /// The merge on a budget of `cores` cores.
+        fn merge(&self, opts: &MergeOptions, shortcuts: Shortcuts, cores: usize) -> MergeResult {
             merge_with(
                 &self.topo,
                 &self.graph,
@@ -1191,15 +1270,18 @@ mod tests {
                 &self.parent_extent,
                 opts,
                 shortcuts,
+                &CoreBudget::new(cores),
             )
         }
 
         /// Asserts the search with `shortcuts` returns exactly what the
-        /// reference search, which routes every candidate in full, does;
-        /// returns the shortcut search's result.
+        /// reference search, which routes every candidate in full, does,
+        /// and that a bounded search's whole result, prune count included,
+        /// is the same on 1, 2, 3 and 8 cores; returns the shortcut
+        /// search's result.
         fn assert_matches_full(&self, opts: &MergeOptions, shortcuts: Shortcuts) -> MergeResult {
-            let fast = self.merge(opts, shortcuts);
-            let full = self.merge(opts, FULL);
+            let fast = self.merge(opts, shortcuts, 1);
+            let full = self.merge(opts, FULL, 1);
             assert_eq!(fast.block.members, full.block.members);
             assert_eq!(fast.mcl.to_bits(), full.mcl.to_bits());
             assert_eq!(fast.candidates_evaluated, full.candidates_evaluated);
@@ -1210,6 +1292,23 @@ mod tests {
             }
             if !shortcuts.bound {
                 assert_eq!(fast.candidates_pruned, 0);
+            }
+            let summary = |r: &MergeResult| {
+                (
+                    r.block.members.clone(),
+                    r.mcl.to_bits(),
+                    r.candidates_evaluated,
+                    r.candidates_kept,
+                    r.candidates_pruned,
+                    r.symmetry_skipped,
+                    r.deadline_hit,
+                )
+            };
+            if shortcuts.bound {
+                for cores in [2, 3, 8] {
+                    let other = self.merge(opts, shortcuts, cores);
+                    assert_eq!(summary(&other), summary(&fast), "{cores} cores");
+                }
             }
             fast
         }
@@ -1228,7 +1327,7 @@ mod tests {
         fn assert_bound_exact(&self, opts: &MergeOptions) -> usize {
             self.assert_matches_full(opts, BOUND);
             let both = self.assert_matches_full(opts, BOTH);
-            assert_eq!(both.symmetry_skipped, self.merge(opts, QUOTIENT).symmetry_skipped);
+            assert_eq!(both.symmetry_skipped, self.merge(opts, QUOTIENT, 1).symmetry_skipped);
             both.candidates_pruned
         }
     }
@@ -1319,21 +1418,20 @@ mod tests {
 
         /// The orbit quotient changes nothing: same merged block, MCL bits
         /// and candidate counts as routing every candidate in full, alone
-        /// or under the cut line, for one worker or all of them, under any
-        /// orientation-set restriction. DOR gets no quotient.
+        /// or under the cut line, under any orientation-set restriction.
+        /// The result, prune count included, is the same on any number of
+        /// cores. DOR gets no quotient.
         #[test]
         fn orbit_quotient_matches_exhaustive_search(
             seed in 0..u64::MAX,
             equal_bytes in proptest::bool::ANY,
             flips_only in proptest::bool::ANY,
             beam_width in proptest::sample::select(vec![1usize, 4, 64]),
-            thread_cap in proptest::sample::select(vec![1usize, 0]),
         ) {
             let case = random_case(seed, equal_bytes);
             let opts = MergeOptions {
                 beam_width,
                 full_group_member_limit: if flips_only { 0 } else { 64 },
-                thread_cap,
                 ..Default::default()
             };
             case.assert_quotient_exact(&opts);
@@ -1343,21 +1441,20 @@ mod tests {
 
         /// The cut line changes nothing: same merged block, MCL bits and
         /// candidate counts as routing every candidate in full, alone or
-        /// with the orbit quotient, for one worker or all of them, under
-        /// either routing model and any orientation-set restriction.
+        /// with the orbit quotient, under either routing model and any
+        /// orientation-set restriction. The result, prune count included,
+        /// is the same on any number of cores.
         #[test]
         fn beam_bound_matches_unbounded_search(
             seed in 0..u64::MAX,
             equal_bytes in proptest::bool::ANY,
             flips_only in proptest::bool::ANY,
             beam_width in proptest::sample::select(vec![1usize, 4, 64]),
-            thread_cap in proptest::sample::select(vec![1usize, 0]),
         ) {
             let case = random_case(seed, equal_bytes);
             let opts = MergeOptions {
                 beam_width,
                 full_group_member_limit: if flips_only { 0 } else { 64 },
-                thread_cap,
                 ..Default::default()
             };
             case.assert_bound_exact(&opts);
@@ -1382,6 +1479,41 @@ mod tests {
         };
         let pruned = case.assert_bound_exact(&opts);
         assert!(pruned > 0, "the cut line never fired");
+    }
+
+    #[test]
+    fn beam_steps_split_into_waves_independent_of_cores() {
+        // Eight 2x2x2 octants of a 4x4x4 torus, beam width 1: without the
+        // quotient the first step has 48 x 48 representatives in nine
+        // chunks, a first wave of one and two of four, so later waves start
+        // from seeded cut lines and run on helper threads.
+        let octant = |o: u16| {
+            let base = Rank::from(o) * 8;
+            PositionedBlock {
+                block: Block {
+                    extent: c(&[2, 2, 2]),
+                    members: (0..8u16)
+                        .map(|i| {
+                            let cell = i * 5 % 8;
+                            (base + Rank::from(i), c(&[cell / 4, cell / 2 % 2, cell % 2]))
+                        })
+                        .collect(),
+                },
+                origin: c(&[o / 4 * 2, o / 2 % 2 * 2, o % 2 * 2]),
+            }
+        };
+        let case = Case {
+            topo: Torus::torus(&[4, 4, 4]),
+            graph: patterns::random(64, 200, 1.0, 10.0, 17),
+            children: (0..8).map(octant).collect(),
+            parent_origin: c(&[0, 0, 0]),
+            parent_extent: c(&[4, 4, 4]),
+        };
+        assert!(48 * 48 > (1 + WAVE) * chunk_len(1), "two waves cover the first step");
+        for routing in [Routing::UniformMinimal, Routing::DimOrder] {
+            let opts = MergeOptions { beam_width: 1, routing, ..Default::default() };
+            assert!(case.assert_bound_exact(&opts) > 0, "the cut line never fired");
+        }
     }
 
     #[test]

@@ -24,10 +24,11 @@
 use crate::anneal::{anneal_map, AnnealOptions};
 use crate::block::Block;
 use crate::cluster::{build_hierarchy_with, cluster_level, cluster_level_with, LevelClustering};
+use crate::cores::CoreBudget;
 use crate::error::{panic_message, RahtmError};
 use crate::fault::{Fault, FaultPlan};
 use crate::mapping::TaskMapping;
-use crate::merge::{merge_blocks, MergeOptions, PositionedBlock};
+use crate::merge::{merge_within, MergeOptions, PositionedBlock};
 use crate::milp::{milp_map, MilpMapOptions};
 use rahtm_commgraph::{CommGraph, Rank, RankGrid};
 use rahtm_lp::{Deadline, MilpOptions, SimplexOptions};
@@ -355,6 +356,18 @@ impl RahtmMapper {
         graph: &CommGraph,
         grid: Option<RankGrid>,
     ) -> Result<RahtmResult, RahtmError> {
+        self.run_on(machine, graph, grid, crate::cores::available())
+    }
+
+    /// [`Self::run`] on a budget of `cores` cores. The mapping and the
+    /// normalized journal do not depend on it.
+    pub(crate) fn run_on(
+        &self,
+        machine: &BgqMachine,
+        graph: &CommGraph,
+        grid: Option<RankGrid>,
+        cores: usize,
+    ) -> Result<RahtmResult, RahtmError> {
         self.validate(machine, graph, grid.as_ref())?;
         let cfg = &self.config;
         let topo = machine.torus();
@@ -382,10 +395,11 @@ impl RahtmMapper {
         recorder.record_span_secs(spans::CLUSTERING, t0.elapsed().as_secs_f64());
 
         // ---- Per-slice phases 2+3 (slices are independent; run them on
-        // crossbeam scoped threads sharing the sub-problem cache) ----
-        // Core budget: slice workers split the machine evenly, and each
-        // slice's merge pool and branch-and-bound workers live inside that
-        // share — the three layers of parallelism never multiply.
+        // crossbeam scoped threads sharing the caches) ----
+        // Core budget: each slice worker holds a core, and lends it back
+        // while it waits on an answer another slice is solving and once it
+        // returns; a merge step borrows spare cores as helpers. The
+        // branch-and-bound threads take an even share per slice.
         let ctx = RunContext {
             cfg,
             machine,
@@ -396,19 +410,25 @@ impl RahtmMapper {
             // merge, the polish pass, and the final MCL prediction.
             machine_stencils: Arc::new(RouteStencilCache::new(topo)),
             deadline,
-            core_share: crate::cores::share(slices.len()),
+            cores: CoreBudget::new(cores),
             milp_threads: crate::cores::resolve(cfg.milp_threads, slices.len()),
             recorder,
         };
         let rec = &ctx.recorder;
         type SliceOutcome = Result<PositionedBlock, Box<dyn std::any::Any + Send + 'static>>;
         let slice_results: Vec<SliceOutcome> = match crossbeam::thread::scope(|scope| {
+            // this thread only waits for the slice workers
+            let _lent = ctx.cores.lend();
             let handles: Vec<_> = (0..slices.len())
                 .map(|si| {
                     let ctx = &ctx;
                     let (slice, members) = (&slices[si], &slice_members[si]);
                     let sgrid = &slice_grids[si];
-                    scope.spawn(move |_| ctx.solve_slice(slice, members, sgrid))
+                    let held = ctx.cores.hold();
+                    scope.spawn(move |_| {
+                        let _held = held;
+                        ctx.solve_slice(slice, members, sgrid)
+                    })
                 })
                 .collect();
             // join() captures worker panics as Err payloads instead of
@@ -459,7 +479,7 @@ impl RahtmMapper {
                 None => return Err(RahtmError::internal("slice block vanished")),
             },
             _ => {
-                let res = merge_blocks(
+                let res = merge_within(
                     topo,
                     &g_node,
                     &slice_blocks,
@@ -475,6 +495,7 @@ impl RahtmMapper {
                         // search automatically restricts to axis flips
                         ..Default::default()
                     },
+                    &ctx.cores,
                 );
                 rec.gauge(gauges::MERGE_MCL_SLICES, res.mcl);
                 if res.deadline_hit {
@@ -537,14 +558,20 @@ impl RahtmMapper {
     }
 }
 
-/// A memo the slice workers share: one once-cell per key, so the first
-/// worker to ask for a key solves it and a worker asking for the same key
+/// A memo the slice workers share: one cell per key, so the first worker
+/// to ask for a key solves it and a worker asking for the same key
 /// meanwhile waits for that answer instead of solving it again. A solve
 /// that panics leaves its cell empty, and the next asker solves the key.
 /// A disabled cache solves every request.
 struct SolveCache<K, V> {
     enabled: bool,
-    cells: Mutex<HashMap<K, Arc<OnceLock<V>>>>,
+    cells: Mutex<HashMap<K, Arc<Cell<V>>>>,
+}
+
+/// One key's answer, and the lock its solver holds while solving.
+struct Cell<V> {
+    answer: OnceLock<V>,
+    solving: Mutex<()>,
 }
 
 impl<K: Eq + Hash, V: Clone> SolveCache<K, V> {
@@ -556,13 +583,43 @@ impl<K: Eq + Hash, V: Clone> SolveCache<K, V> {
     }
 
     /// `key`'s answer, from `solve` when no worker has solved it yet. The
-    /// map lock is held only to fetch the key's cell.
-    fn get_or_solve(&self, key: K, solve: impl FnOnce() -> V) -> V {
+    /// map lock is held only to fetch the key's cell; a worker that finds
+    /// another one solving the key waits through `waits`.
+    fn get_or_solve(&self, key: K, waits: &mut Waits, solve: impl FnOnce() -> V) -> V {
         if !self.enabled {
             return solve();
         }
-        let cell = Arc::clone(self.cells.lock().entry(key).or_default());
-        cell.get_or_init(solve).clone()
+        let cell = Arc::clone(self.cells.lock().entry(key).or_insert_with(|| {
+            Arc::new(Cell {
+                answer: OnceLock::new(),
+                solving: Mutex::new(()),
+            })
+        }));
+        if let Some(answer) = cell.answer.get() {
+            return answer.clone();
+        }
+        let _solving = match cell.solving.try_lock() {
+            Some(lock) => lock,
+            None => waits.block(|| cell.solving.lock()),
+        };
+        cell.answer.get_or_init(solve).clone()
+    }
+}
+
+/// A slice worker's waits on answers other workers are solving: while it
+/// is blocked its core is spare, and the seconds add up in `secs`.
+struct Waits<'a> {
+    cores: &'a CoreBudget,
+    secs: f64,
+}
+
+impl Waits<'_> {
+    fn block<T>(&mut self, wait: impl FnOnce() -> T) -> T {
+        let _lent = self.cores.lend();
+        let start = Instant::now();
+        let out = wait();
+        self.secs += start.elapsed().as_secs_f64();
+        out
     }
 }
 
@@ -578,16 +635,31 @@ struct RunContext<'a> {
     merge_cache: SolveCache<MergeKey, Vec<Coord>>,
     machine_stencils: Arc<RouteStencilCache>,
     deadline: Deadline,
-    /// Cores available to one slice worker's merge pool.
-    core_share: usize,
+    /// The run's spare cores, which merge steps borrow as helpers.
+    cores: CoreBudget,
     milp_threads: usize,
     recorder: Recorder,
 }
 
 impl RunContext<'_> {
     /// Phases 2 and 3 for one uniform slice; returns the slice's solved
-    /// block positioned at the slice origin.
+    /// block positioned at the slice origin, and records the seconds the
+    /// worker waited on answers other workers were solving.
     fn solve_slice(&self, slice: &SubCube, members: &[Rank], sgrid: &RankGrid) -> PositionedBlock {
+        let mut waits = Waits { cores: &self.cores, secs: 0.0 };
+        let block = self.slice_block(slice, members, sgrid, &mut waits);
+        self.recorder.record_span_secs(spans::WAIT, waits.secs);
+        block
+    }
+
+    /// [`Self::solve_slice`] without recording the waits.
+    fn slice_block(
+        &self,
+        slice: &SubCube,
+        members: &[Rank],
+        sgrid: &RankGrid,
+        waits: &mut Waits,
+    ) -> PositionedBlock {
         let (cfg, rec, g_node) = (self.cfg, &self.recorder, self.g_node);
         let g_slice = g_node.induced(members);
         let topo = self.machine.torus();
@@ -644,7 +716,7 @@ impl RunContext<'_> {
         let mut pin: Vec<Vec<Coord>> = Vec::with_capacity(d_levels);
         // root solve
         let root_graph = &levels[0].coarse_graph;
-        let root_place = self.solve_subproblem(&root_cube, root_graph, &root_stencils);
+        let root_place = self.solve_subproblem(&root_cube, root_graph, &root_stencils, waits);
         pin.push(
             root_place
                 .iter()
@@ -665,7 +737,7 @@ impl RunContext<'_> {
             for (parent, children) in children_of.iter().enumerate() {
                 assert_eq!(children.len(), branching as usize);
                 let induced = child_graph.induced(children);
-                let place = self.solve_subproblem(&leaf_cube, &induced, &leaf_stencils);
+                let place = self.solve_subproblem(&leaf_cube, &induced, &leaf_stencils, waits);
                 for (li, &child) in children.iter().enumerate() {
                     let v = embed_vertex(&leaf_cube, place[li], &active, nd);
                     // inactive dims stay 0: both terms are 0 there
@@ -740,7 +812,7 @@ impl RunContext<'_> {
                 let mut solved = None;
                 let solve = || {
                     rec.incr(counters::MERGE_CACHE_MISSES);
-                    let res = merge_blocks(
+                    let res = merge_within(
                         topo,
                         g_node,
                         &children,
@@ -752,9 +824,9 @@ impl RunContext<'_> {
                             deadline: self.deadline,
                             recorder: rec.clone(),
                             stencils: Some(Arc::clone(&self.machine_stencils)),
-                            thread_cap: self.core_share,
                             ..Default::default()
                         },
+                        &self.cores,
                     );
                     rec.gauge(&gauges::merge_mcl(sb), res.mcl);
                     if res.deadline_hit {
@@ -769,7 +841,7 @@ impl RunContext<'_> {
                     solved = Some(res.block);
                     coords
                 };
-                let coords = self.merge_cache.get_or_solve(mkey, solve);
+                let coords = self.merge_cache.get_or_solve(mkey, waits, solve);
                 let block = solved.unwrap_or_else(|| {
                     rec.incr(counters::MERGE_CACHE_HITS);
                     Block {
@@ -810,9 +882,10 @@ impl RunContext<'_> {
         cube: &Torus,
         graph: &CommGraph,
         stencils: &Arc<RouteStencilCache>,
+        waits: &mut Waits,
     ) -> Vec<NodeId> {
         let mut hit = true;
-        let placement = self.sub_cache.get_or_solve(sub_key(cube, graph), || {
+        let placement = self.sub_cache.get_or_solve(sub_key(cube, graph), waits, || {
             hit = false;
             self.solve_uncached(cube, graph, stencils)
         });
@@ -1067,12 +1140,58 @@ mod tests {
     #[test]
     fn solve_cache_retries_a_key_whose_solve_panicked() {
         let cache: SolveCache<u32, u32> = SolveCache::new(true);
+        let cores = CoreBudget::new(1);
+        let mut waits = Waits { cores: &cores, secs: 0.0 };
         let panicked = catch_unwind(AssertUnwindSafe(|| {
-            cache.get_or_solve(1, || panic!("injected"));
+            cache.get_or_solve(1, &mut waits, || panic!("injected"));
         }));
         assert!(panicked.is_err());
-        assert_eq!(cache.get_or_solve(1, || 7), 7, "the panicked solve left the cell empty");
-        assert_eq!(cache.get_or_solve(1, || unreachable!("solved once")), 7);
+        assert_eq!(
+            cache.get_or_solve(1, &mut waits, || 7),
+            7,
+            "the panicked solve left the cell empty"
+        );
+        assert_eq!(cache.get_or_solve(1, &mut waits, || unreachable!("solved once")), 7);
+        assert_eq!(waits.secs, 0.0, "nobody else was solving");
+    }
+
+    #[test]
+    fn solve_cache_lends_the_core_of_a_waiting_worker() {
+        // A worker that asks for a key another worker is solving waits for
+        // that answer, and its core is spare meanwhile.
+        let cache = &SolveCache::<u32, u32>::new(true);
+        let cores = CoreBudget::new(2);
+        let _lent = cores.lend();
+        let workers = [cores.hold(), cores.hold()];
+        let (solving, waiting) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut waits = Waits { cores: &cores, secs: 0.0 };
+                let answer = cache.get_or_solve(1, &mut waits, || {
+                    solving.wait();
+                    // the asker below blocks and lends its core
+                    while cores.claim(1).cores() == 0 {
+                        std::thread::yield_now();
+                    }
+                    waiting.wait();
+                    7
+                });
+                assert_eq!((answer, waits.secs), (7, 0.0));
+            });
+            solving.wait();
+            let mut waits = Waits { cores: &cores, secs: 0.0 };
+            let asker = scope.spawn(move || {
+                let answer = cache.get_or_solve(1, &mut waits, || unreachable!("solved once"));
+                (answer, waits.secs)
+            });
+            waiting.wait();
+            let (answer, secs) = asker.join().unwrap();
+            assert_eq!(answer, 7);
+            assert!(secs > 0.0);
+        });
+        assert_eq!(cores.claim(1).cores(), 0, "the waiter took its core back");
+        drop(workers);
+        assert_eq!(cores.claim(2).cores(), 2);
     }
 
     #[test]
@@ -1146,6 +1265,33 @@ mod tests {
         let a = RahtmMapper::new(cfg.clone()).map(&machine, &g, None);
         let b = RahtmMapper::new(cfg).map(&machine, &g, None);
         assert_eq!(a.mapping, b.mapping);
+    }
+
+    #[test]
+    fn two_slice_run_is_independent_of_cores() {
+        // 4x4x4x2 torus: two 4x4x4 slices. Under DOR (no orbit quotient)
+        // the first step of a side-4 merge scores 48 x 48 candidates in
+        // nine chunks, so a four-core budget lends its waves helpers,
+        // while one core runs every chunk on the slice worker itself.
+        let machine = BgqMachine::new(Torus::torus(&[4, 4, 4, 2]), 16, 1);
+        let g = Benchmark::Cg.graph(128);
+        let config = RahtmConfig {
+            routing: Routing::DimOrder,
+            ..RahtmConfig::fast()
+        };
+        let mapper = RahtmMapper::new(config).with_recorder(Recorder::enabled());
+        let run = |cores| {
+            let res = mapper.run_on(&machine, &g, None, cores).expect("run");
+            let journal = res.journal.expect("traced run");
+            (res.mapping, res.predicted_mcl.to_bits(), journal)
+        };
+        let (one, four) = (run(1), run(4));
+        assert_eq!(one.0, four.0, "mapping");
+        assert_eq!(one.1, four.1, "predicted MCL");
+        assert_eq!(one.2.normalized(), four.2.normalized());
+        let wait = one.2.span(spans::WAIT).map(|s| s.count);
+        assert_eq!(wait, Some(2), "one wait total per slice worker");
+        assert!(one.2.counter(counters::MERGE_CANDIDATES_PRUNED) > Some(0));
     }
 
     #[test]

@@ -86,6 +86,7 @@ fn walkthrough_journal_snapshot() {
             ("pipeline.merge.side4", 1),
             (spans::MERGE_SLICES, 1),
             (spans::MILP, 1),
+            (spans::WAIT, 1),
         ],
         "span inventory drifted"
     );
@@ -108,6 +109,7 @@ fn walkthrough_journal_snapshot() {
         (counters::MERGE_ORIENTATIONS, 32),
         (counters::MERGE_CANDIDATES_EVALUATED, 1088),
         (counters::MERGE_CANDIDATES_KEPT, 192),
+        (counters::MERGE_CANDIDATES_PRUNED, 767),
     ] {
         assert_eq!(
             journal.counter(name),
@@ -124,9 +126,6 @@ fn walkthrough_journal_snapshot() {
         "counter {} drifted",
         counters::MERGE_SYMMETRY_SKIPPED
     );
-    // merge.candidates_pruned is pinned by walkthrough_beam_8_prune_count:
-    // this run's beam of 64 splits its later steps across as many merge
-    // workers as there are cores (up to 8), each with its own cut line
 
     // anneal totals and deadline polls are deterministic too but tied to
     // tuning constants that shift legitimately; pin presence + positivity
@@ -176,11 +175,9 @@ fn walkthrough_journal_snapshot() {
     assert!(journal.events.is_empty(), "{:?}", journal.events);
 }
 
-/// With a beam of 8 each step of the side-4 merge runs on one merge worker
-/// on any machine, so the number of candidates its cut line ranks out
-/// before their routing finishes is deterministic. Only orbit
-/// representatives count: the first step's cut ones included, their
-/// mirror images not.
+/// The number of candidates the cut line ranks out before their routing
+/// finishes, at a beam of 8. Only orbit representatives count: the first
+/// step's cut ones included, their mirror images not.
 #[test]
 fn walkthrough_beam_8_prune_count() {
     let (res, journal) = run_traced_with(RahtmConfig {
