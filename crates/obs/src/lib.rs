@@ -76,7 +76,7 @@ pub mod counters {
     pub const DEGRADE_DOWNGRADED: &str = "degrade.downgraded";
     /// Merges that fell back to identity composition on deadline expiry.
     pub const DEGRADE_IDENTITY_MERGES: &str = "degrade.identity_merges";
-    /// Slice workers that panicked and were re-solved sequentially.
+    /// Level passes that panicked and were re-run on one core.
     pub const DEGRADE_SALVAGED_WORKERS: &str = "degrade.salvaged_workers";
     /// Flow routings answered from the displacement-stencil cache.
     pub const STENCIL_HITS: &str = "route.stencil.hits";
@@ -110,9 +110,6 @@ pub mod spans {
     pub const MERGE_SLICES: &str = "pipeline.merge.slices";
     /// Optional §VI polish pass.
     pub const POLISH: &str = "pipeline.polish";
-    /// Seconds a slice worker waited on a cached answer that another
-    /// worker was solving, recorded once per slice worker.
-    pub const WAIT: &str = "pipeline.wait";
     /// Merge level at block side `sb` (nested under [`MERGE`]).
     pub fn merge_side(sb: u16) -> String {
         format!("pipeline.merge.side{sb}")
@@ -358,7 +355,7 @@ pub struct CounterEntry {
 }
 
 /// All observations of one gauge, sorted ascending for deterministic
-/// export (observation order across concurrent slices is not).
+/// export (observation order across a batch's parallel jobs is not).
 #[derive(Clone, Debug, PartialEq)]
 pub struct GaugeEntry {
     /// Gauge name.
@@ -377,8 +374,8 @@ pub struct Journal {
     pub counters: Vec<CounterEntry>,
     /// Gauges, sorted by name (values sorted ascending).
     pub gauges: Vec<GaugeEntry>,
-    /// Event lines, sorted (occurrence order across concurrent slices is
-    /// not deterministic).
+    /// Event lines, sorted (occurrence order across a batch's parallel
+    /// jobs is not deterministic).
     pub events: Vec<String>,
 }
 

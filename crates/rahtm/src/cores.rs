@@ -1,19 +1,19 @@
 //! Central core accounting for every parallel phase.
 //!
-//! Three subsystems run worker threads: the per-slice pipeline scope
-//! ([`crate::pipeline`]), the merge's beam steps ([`crate::merge`]), and
-//! the work-stealing branch-and-bound inside the MILP ([`rahtm_lp::milp`]).
-//! A run shares one spare-core budget (`CoreBudget`) between the first
-//! two: each working thread holds one core, and a thread that blocks (a
-//! slice worker waiting for an answer another slice is solving) or
-//! finishes (a slice worker that has returned) lends its core back. A
-//! beam step borrows spare cores as helpers without waiting for any, and
-//! gives them back when it ends, so the idle cores of one slice speed up
-//! whichever merge is running. A step's result never depends on how many
-//! helpers it got. [`share`] and [`resolve`] size the branch-and-bound,
-//! whose thread count is fixed per run.
+//! Two kinds of work run worker threads: the job runner (`run_jobs`),
+//! which runs the pipeline's per-level batches ([`crate::pipeline`]) and
+//! the merge's beam-step waves ([`crate::merge`]), and the work-stealing
+//! branch-and-bound inside the MILP ([`rahtm_lp::milp`]). A run's runners
+//! share one spare-core budget (`CoreBudget`): a helper thread claims one
+//! spare core, without waiting, until it exits, and the pipeline driver
+//! lends its own core while it joins a batch's helpers. So a core a batch
+//! no longer needs speeds up whichever merge is still running in it. A
+//! job's result never depends on how many helpers ran. [`share`] and
+//! [`resolve`] size the branch-and-bound, whose thread count is fixed per
+//! run.
 
-use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Number of usable cores (`available_parallelism`, 1 on failure).
 pub fn available() -> usize {
@@ -23,19 +23,17 @@ pub fn available() -> usize {
 }
 
 /// An even share of the core budget for one of `parts` concurrent
-/// consumers (e.g. per-slice workers running side by side). Always at
-/// least 1.
+/// consumers (e.g. one per machine slice). Always at least 1.
 pub fn share(parts: usize) -> usize {
     available() / parts.max(1).min(available())
 }
 
 /// Resolves a user-facing thread knob: `0` means "auto" (an even
-/// [`share`] for one of `parts` concurrent consumers, which never
-/// oversubscribes the machine); an explicit request is honored verbatim —
-/// asking for more threads than cores merely timeshares, and solver
-/// results are thread-count-independent, so silently downgrading the
-/// request (e.g. four workers → one on a 1-core box) would be the bigger
-/// surprise.
+/// [`share`] for one of `parts` concurrent consumers); an explicit request
+/// is honored verbatim — asking for more threads than cores merely
+/// timeshares, and solver results are thread-count-independent, so
+/// silently downgrading the request (e.g. four workers → one on a 1-core
+/// box) would be the bigger surprise.
 pub fn resolve(requested: usize, parts: usize) -> usize {
     if requested == 0 {
         share(parts)
@@ -44,73 +42,104 @@ pub fn resolve(requested: usize, parts: usize) -> usize {
     }
 }
 
-/// A run's cores that no working thread holds. The count goes negative
-/// while a thread that stopped blocking has taken its core back from a
-/// helper that still runs; no claim succeeds until the helper is done.
-/// The count guards no other data, so every access is `Relaxed`.
+/// A run's cores that no working thread holds. The count guards no other
+/// data, so every access is `Relaxed`.
 pub(crate) struct CoreBudget {
-    spare: AtomicIsize,
+    spare: AtomicUsize,
 }
 
 impl CoreBudget {
     /// A budget of `cores` cores, one of them held by the calling thread.
     pub(crate) fn new(cores: usize) -> Self {
         CoreBudget {
-            spare: AtomicIsize::new(cores as isize - 1),
+            spare: AtomicUsize::new(cores.saturating_sub(1)),
         }
     }
 
-    /// One more thread starts working: it holds a core, spare or not,
-    /// until the grant drops.
-    pub(crate) fn hold(&self) -> Grant<'_> {
-        self.take(1)
-    }
-
-    /// The calling thread blocks: its core is spare until the grant drops.
-    pub(crate) fn lend(&self) -> Grant<'_> {
-        self.take(-1)
-    }
-
-    /// Up to `want` spare cores, possibly none; never waits.
-    pub(crate) fn claim(&self, want: usize) -> Grant<'_> {
-        let mut cores = 0;
-        // the closure always returns `Some`, so the update always succeeds
-        let _ = self.spare.fetch_update(Relaxed, Relaxed, |spare| {
-            cores = spare.clamp(0, want as isize);
-            Some(spare - cores)
-        });
-        Grant { budget: self, cores }
-    }
-
-    fn take(&self, cores: isize) -> Grant<'_> {
-        self.spare.fetch_sub(cores, Relaxed);
-        Grant { budget: self, cores }
+    /// One spare core, if there is one; never waits.
+    fn claim(&self) -> Option<Grant<'_>> {
+        let taken = self.spare.fetch_update(Relaxed, Relaxed, |n| n.checked_sub(1));
+        taken.ok().map(|_| Grant { budget: self })
     }
 }
 
-/// Cores taken from a [`CoreBudget`] (or, when negative, given to it);
-/// dropping the grant undoes the move.
-pub(crate) struct Grant<'a> {
+/// A core claimed from a [`CoreBudget`]; dropping the grant returns it.
+struct Grant<'a> {
     budget: &'a CoreBudget,
-    cores: isize,
-}
-
-impl Grant<'_> {
-    /// The number of cores taken.
-    pub(crate) fn cores(&self) -> usize {
-        self.cores.max(0) as usize
-    }
 }
 
 impl Drop for Grant<'_> {
     fn drop(&mut self) {
-        self.budget.spare.fetch_add(self.cores, Relaxed);
+        self.budget.spare.fetch_add(1, Relaxed);
     }
+}
+
+/// Runs `job` on `0..jobs` on the calling thread and on up to
+/// `max_helpers` helpers, one per spare core it can claim (never more than
+/// `jobs − 1`); each thread takes the next job until none is left, and the
+/// results come back in job order. With `lend`, the caller's core is spare
+/// while it joins its helpers. Only a caller whose join waits for every
+/// other thread that claims from `cores` may lend (the pipeline driver):
+/// then every claim of the lent core ends before the caller takes it back,
+/// and the spare count never goes negative. A job's panic is resumed on the
+/// caller once every helper has exited.
+pub(crate) fn run_jobs<T: Send>(
+    cores: &CoreBudget,
+    jobs: usize,
+    max_helpers: usize,
+    lend: bool,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let grants: Vec<Grant> = (0..max_helpers.min(jobs.saturating_sub(1)))
+        .map_while(|_| cores.claim())
+        .collect();
+    if grants.is_empty() {
+        return (0..jobs).map(job).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let j = next.fetch_add(1, Relaxed);
+            if j >= jobs {
+                return done;
+            }
+            done.push((j, job(j)));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let work = &work;
+        let helpers: Vec<_> = grants
+            .into_iter()
+            .map(|grant| {
+                scope.spawn(move || {
+                    let _grant = grant;
+                    work()
+                })
+            })
+            .collect();
+        let mut done = work();
+        if lend {
+            cores.spare.fetch_add(1, Relaxed);
+        }
+        let joined: Vec<_> = helpers.into_iter().map(|h| h.join()).collect();
+        if lend {
+            cores.spare.fetch_sub(1, Relaxed);
+        }
+        for helper in joined {
+            done.extend(helper.unwrap_or_else(|p| resume_unwind(p)));
+        }
+        done
+    });
+    done.sort_by_key(|&(j, _)| j);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn share_splits_evenly_and_never_zero() {
@@ -129,38 +158,58 @@ mod tests {
         assert!(resolve(0, available() * 4) >= 1, "auto never returns 0");
     }
 
+    /// The cores `budget` grants now, all returned again.
+    fn spare(budget: &CoreBudget) -> usize {
+        std::iter::from_fn(|| budget.claim()).collect::<Vec<_>>().len()
+    }
+
     #[test]
     fn claims_take_only_spare_cores_and_give_them_back() {
         let budget = CoreBudget::new(4);
         {
-            let helpers = budget.claim(8);
-            assert_eq!(helpers.cores(), 3, "the caller holds the fourth core");
-            assert_eq!(budget.claim(1).cores(), 0, "nothing is spare");
+            let helpers: Vec<_> = std::iter::from_fn(|| budget.claim()).collect();
+            assert_eq!(helpers.len(), 3, "the caller holds the fourth core");
+            assert!(budget.claim().is_none(), "nothing is spare");
         }
-        // two workers start while the caller blocks on them
-        let lent = budget.lend();
-        let workers = [budget.hold(), budget.hold()];
-        assert_eq!(budget.claim(8).cores(), 2);
-        // one worker blocks: its core is lent to a claim
-        let blocked = budget.lend();
-        let helper = budget.claim(8);
-        assert_eq!(helper.cores(), 3);
-        // it wakes while the helper still runs: the count goes negative
-        drop(blocked);
-        assert_eq!(budget.claim(1).cores(), 0);
-        drop(helper);
-        assert_eq!(budget.claim(8).cores(), 2);
-        drop(workers);
-        drop(lent);
-        assert_eq!(budget.claim(8).cores(), 3, "every move was undone");
+        assert_eq!(spare(&budget), 3, "every claim was returned");
+        assert_eq!(spare(&CoreBudget::new(1)), 0);
     }
 
     #[test]
-    fn a_one_core_budget_never_grants_a_helper() {
-        let budget = CoreBudget::new(1);
-        assert_eq!(budget.claim(4).cores(), 0);
-        let _lent = budget.lend();
-        let _workers = [budget.hold(), budget.hold()];
-        assert_eq!(budget.claim(4).cores(), 0);
+    fn jobs_claim_the_joining_callers_core_independent_of_cores() {
+        // Two cores: the runner's one helper takes the spare core. Both
+        // jobs meet at a barrier, so each thread runs one of them. The
+        // caller's job returns at once; the helper's job then waits for a
+        // spare core, which only the caller's lend can free.
+        let budget = CoreBudget::new(2);
+        let caller = std::thread::current().id();
+        let both = Barrier::new(2);
+        let mut claimed = run_jobs(&budget, 2, usize::MAX, true, |_| {
+            both.wait();
+            if std::thread::current().id() == caller {
+                return None;
+            }
+            let start = Instant::now();
+            while start.elapsed() < Duration::from_secs(20) {
+                if budget.claim().is_some() {
+                    return Some(true);
+                }
+                std::thread::yield_now();
+            }
+            Some(false)
+        });
+        claimed.sort();
+        assert_eq!(claimed, [None, Some(true)], "the helper claimed the lent core");
+        assert_eq!(spare(&budget), 1, "back to cores − 1 spare");
+    }
+
+    #[test]
+    fn job_results_in_order_independent_of_cores() {
+        for cores in [1, 2, 8] {
+            let budget = CoreBudget::new(cores);
+            let out = run_jobs(&budget, 40, usize::MAX, true, |j| j * j);
+            assert_eq!(out, (0..40).map(|j| j * j).collect::<Vec<_>>());
+            assert_eq!(spare(&budget), cores - 1, "{cores} cores");
+        }
     }
 }

@@ -11,7 +11,7 @@
 //! [`RahtmError`] is the workspace-wide error hierarchy: it covers
 //! failures originating in every layer the pipeline touches — input
 //! validation, the `rahtm_lp` solvers, `rahtm_commgraph` profile parsing
-//! (used by the CLI), and the parallel slice workers. It is written in the
+//! (used by the CLI), and the pipeline's parallel batches. It is written in the
 //! `thiserror` style by hand (the offline build has no proc-macro error
 //! crates): one variant per failure class, a `Display` that reads as a
 //! one-line human message, and `std::error::Error` for composability.
@@ -49,12 +49,10 @@ pub enum RahtmError {
         /// Which phase ran out of time.
         phase: String,
     },
-    /// A parallel slice worker panicked and the sequential re-solve of its
-    /// slice panicked too.
+    /// The pipeline's level pass panicked, and so did its re-run on one
+    /// core.
     WorkerPanic {
-        /// Which worker failed (slice index).
-        slice: usize,
-        /// The extracted panic payload.
+        /// The extracted panic payload of the re-run.
         message: String,
     },
     /// Reading or writing a file failed (CLI layer).
@@ -109,8 +107,8 @@ impl fmt::Display for RahtmError {
             RahtmError::Timeout { phase } => {
                 write!(f, "time limit exhausted in {phase} with no fallback")
             }
-            RahtmError::WorkerPanic { slice, message } => {
-                write!(f, "slice worker {slice} panicked (salvage failed): {message}")
+            RahtmError::WorkerPanic { message } => {
+                write!(f, "level pass panicked twice (salvage failed): {message}")
             }
             RahtmError::Io { path, message } => write!(f, "{path}: {message}"),
             RahtmError::Profile { message } => write!(f, "profile: {message}"),

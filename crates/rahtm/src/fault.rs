@@ -4,14 +4,14 @@
 //! production. A [`FaultPlan`] lets tests force each failure mode — a
 //! solver timeout, a forced infeasibility, a worker panic — at a chosen
 //! sub-problem, so every rung of the ladder (MILP → annealing → greedy)
-//! and the slice-salvage path is exercised deterministically.
+//! and the salvage path is exercised deterministically.
 //!
 //! The plan counts *sub-problem solves* (cache hits don't count; they do
-//! no solver work) with a shared atomic, so a plan cloned into concurrent
-//! slice workers still fires exactly once, at the Nth solve globally.
-//! Which worker observes the Nth solve can vary between runs on a
-//! multi-slice machine; tests assert mapping invariants, which hold
-//! regardless of which slice absorbed the fault.
+//! no solver work) with a shared atomic, so it fires exactly once, at the
+//! Nth solve globally, even when a level's sub-problems are solved in
+//! parallel. Which sub-problem and which thread that is can vary between
+//! runs when a batch holds several new keys; tests assert mapping
+//! invariants, which hold regardless of where the fault landed.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -27,7 +27,7 @@ pub enum Fault {
     /// Table II instance, which always has a feasible assignment — this is
     /// exactly why it needs injection to be tested).
     Infeasible,
-    /// The worker thread solving the targeted sub-problem panics.
+    /// The thread solving the targeted sub-problem panics.
     WorkerPanic,
 }
 

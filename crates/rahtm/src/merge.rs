@@ -22,11 +22,13 @@
 //! cluster id, keeping the per-candidate cost at `O(incident flows × path
 //! box)` at most.
 //!
-//! A step scores its candidates in fixed chunks, a wave at a time, on the
-//! calling thread and on helper threads borrowed from spare cores
-//! ([`crate::cores`]). Each chunk's cut line starts from the earlier
-//! waves' best scores, so the result, prune count included, is the same
-//! on any number of cores.
+//! A step scores its candidates in fixed chunks, a wave at a time,
+//! through the run's job runner: on the calling thread and on helper
+//! threads that claim spare cores ([`crate::cores`]). A wave's caller keeps
+//! its core while it joins, since other merges may claim spare cores
+//! meanwhile. Each chunk's cut line starts from the earlier waves' best
+//! scores, so the result, prune count included, is the same on any number
+//! of cores.
 //!
 //! The first step routes only one candidate per orbit of the torus
 //! reflections that fix both boxes: such a reflection maps a candidate to
@@ -36,14 +38,13 @@
 //! exactly that of routing every candidate in full (DESIGN.md §12).
 
 use crate::block::Block;
-use crate::cores::CoreBudget;
+use crate::cores::{run_jobs, CoreBudget};
 use rahtm_commgraph::{CommGraph, Flow, Rank};
 use rahtm_lp::Deadline;
 use rahtm_obs::{counters, Recorder};
 use rahtm_routing::{ChannelLoads, RouteStencilCache, Routing};
 use rahtm_topology::{Coord, NodeId, Orientation, Torus};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 const UNPLACED: NodeId = NodeId::MAX;
@@ -76,9 +77,9 @@ pub struct MergeOptions {
     /// Most threads one beam step runs on, the calling thread included
     /// (`0` = no cap). A step borrows helper threads only from cores that
     /// are spare: a direct call has the whole machine, and a pipeline run
-    /// shares one spare-core budget between its slice workers
-    /// ([`crate::cores`]), so it passes `0`. The result, counters
-    /// included, is the same for any number of threads.
+    /// shares one spare-core budget among all its jobs ([`crate::cores`]),
+    /// so it passes `0`. The result, counters included, is the same for
+    /// any number of threads.
     pub thread_cap: usize,
 }
 
@@ -504,16 +505,11 @@ fn merge_with(
         // the first wave is a single chunk, so every later chunk starts
         // from a full cut line
         let (first, rest) = chunks.split_at(1);
+        let max_helpers = opts.thread_cap.checked_sub(1).unwrap_or(usize::MAX);
         for wave in std::iter::once(first).chain(rest.chunks(WAVE)) {
-            let mut want = wave.len() - 1;
-            if opts.thread_cap > 0 {
-                want = want.min(opts.thread_cap - 1);
-            }
-            let helpers = cores.claim(want);
-            let outs = run_jobs(wave.len(), helpers.cores(), |c| {
+            let outs = run_jobs(cores, wave.len(), max_helpers, false, |c| {
                 score_chunk(wave[c], seed.clone())
             });
-            drop(helpers);
             for (chunk, (out, pruned)) in wave.iter().zip(outs) {
                 candidates_pruned += pruned;
                 for (&i, score) in chunk.iter().zip(out) {
@@ -687,38 +683,6 @@ impl CutLine {
         let at = self.best.partition_point(|&m| m <= mcl);
         self.best.insert(at, mcl);
     }
-}
-
-/// Runs `job` on `0..jobs` on the calling thread and up to `helpers` more,
-/// each taking the next job until none is left; returns the results in job
-/// order.
-fn run_jobs<T: Send>(jobs: usize, helpers: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let helpers = helpers.min(jobs.saturating_sub(1));
-    if helpers == 0 {
-        return (0..jobs).map(job).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let work = || {
-        let mut done = Vec::new();
-        loop {
-            let j = next.fetch_add(1, Relaxed);
-            if j >= jobs {
-                return done;
-            }
-            done.push((j, job(j)));
-        }
-    };
-    let mut done = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(|_| work())).collect();
-        let mut done = work();
-        for h in handles {
-            done.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-        }
-        done
-    })
-    .unwrap_or_else(|p| std::panic::resume_unwind(p));
-    done.sort_by_key(|&(j, _)| j);
-    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// The non-identity global reflections that map both first-step boxes onto
@@ -1207,7 +1171,7 @@ mod tests {
     #[test]
     fn concurrent_merges_on_one_cold_shared_cache_match_private() {
         // Two threads merge at once through one cold shared cache, racing
-        // to fill its cells (as the pipeline's slice workers do). Each must
+        // to fill its cells (as a batch's parallel merges do). Each must
         // return the private-cache block and a bit-identical MCL.
         let topo = Torus::torus(&[4, 4]);
         let g = patterns::random(16, 60, 1.0, 10.0, 23);

@@ -23,7 +23,7 @@
 //! | 3    | invalid input (profile shape, grid, ranks) |
 //! | 4    | MILP infeasible with no fallback           |
 //! | 5    | time limit exhausted with no fallback      |
-//! | 6    | slice worker panicked twice                |
+//! | 6    | level pass panicked twice                  |
 //! | 7    | internal invariant violated (a RAHTM bug)  |
 //!
 //! With `--time-limit` the pipeline still exits 0 whenever the degradation
@@ -57,7 +57,7 @@ fn usage() -> &'static str {
      [--fast] [--milp] [--milp-threads N] [--beam N] [--time-limit SECS]\n       \
      [--trace-json FILE] [--quiet]\n\n\
      --milp-threads N   branch-and-bound workers per MILP solve\n\
-                        (default 1, 0 = auto per-slice core share;\n\
+                        (default 1, 0 = an even core share per slice;\n\
                         same formulation for any count)"
 }
 

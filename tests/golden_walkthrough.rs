@@ -86,7 +86,6 @@ fn walkthrough_journal_snapshot() {
             ("pipeline.merge.side4", 1),
             (spans::MERGE_SLICES, 1),
             (spans::MILP, 1),
-            (spans::WAIT, 1),
         ],
         "span inventory drifted"
     );

@@ -173,7 +173,7 @@ fn pipeline_is_reproducible() {
 
 /// The sub-problem and merge caches are pure memoization: switching them
 /// off must reproduce the cached run's mapping and predicted MCL bit for
-/// bit. The two-slice 4×4×2 machine exercises the cross-slice merge cache.
+/// bit. The two-slice 4×4×2 machine exercises merge dedupe across slices.
 #[test]
 fn subproblem_caches_do_not_change_the_mapping() {
     let halo = (
@@ -224,12 +224,12 @@ fn subproblem_caches_do_not_change_the_mapping() {
     }
 }
 
-/// The sub-problem and merge caches solve every key once, even when both
-/// slice workers ask for it at the same time. A 4x4x2 torus slices into
-/// two 4x4 planes; the workload is two disjoint copies of one random
-/// graph, one per plane, so both concurrent slices ask for exactly the
-/// keys a one-slice run of a single copy asks for, and a one-slice run
-/// has no concurrent lookups at all.
+/// The level batches solve every sub-problem and merge key once, even
+/// when both slices ask for it in the same batch. A 4x4x2 torus slices
+/// into two 4x4 planes; the workload is two disjoint copies of one random
+/// graph, one per plane, so the two slices ask for exactly the keys a
+/// one-slice run of a single copy asks for, and a one-slice run's batches
+/// hold one slice's jobs only.
 #[test]
 fn two_slice_caches_solve_each_key_once() {
     use rahtm_repro::obs::counters;

@@ -61,10 +61,10 @@ fn walkthrough_stats_match_traced_and_untraced() {
 
 #[test]
 fn two_slice_stats_match_traced_and_untraced() {
-    // 4x4x2 torus slices into two 4x4 planes solved by concurrent workers.
-    // Which worker solves a key both slices share depends on scheduling,
-    // but the other one waits for that answer, so the solve/hit split is
-    // reproducible run to run, with the shared caches on or off.
+    // 4x4x2 torus slices into two 4x4 planes, solved level by level in
+    // batches that hold both slices' jobs. A key both slices share is
+    // solved once per batch, by its first job, so the solve/hit split is
+    // reproducible run to run, with the caches on or off.
     for cache_subproblems in [true, false] {
         assert_stats_are_a_journal_view(
             RahtmConfig {
