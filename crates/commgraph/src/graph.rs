@@ -6,14 +6,13 @@
 //! `(s, d)` insertions accumulate, matching how profilers aggregate
 //! repeated messages.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A process/cluster identifier (dense, `0 .. num_ranks`).
 pub type Rank = u32;
 
 /// One aggregated point-to-point flow.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Flow {
     /// Source rank.
     pub src: Rank,
@@ -25,13 +24,12 @@ pub struct Flow {
 }
 
 /// A weighted directed communication graph.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct CommGraph {
     num_ranks: u32,
     /// Aggregated flows in insertion order of first occurrence.
     flows: Vec<Flow>,
     /// Index from (src, dst) to position in `flows`.
-    #[serde(skip)]
     index: HashMap<(Rank, Rank), usize>,
 }
 

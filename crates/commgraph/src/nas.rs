@@ -25,10 +25,9 @@
 
 use crate::graph::CommGraph;
 use crate::tiling::RankGrid;
-use serde::{Deserialize, Serialize};
 
 /// One of the paper's three communication-heavy benchmarks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Benchmark {
     /// Block tri-diagonal solver (NAS).
     Bt,
@@ -123,7 +122,7 @@ impl Benchmark {
 }
 
 /// A benchmark instantiated at a rank count.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BenchmarkSpec {
     /// Which benchmark.
     pub benchmark: Benchmark,

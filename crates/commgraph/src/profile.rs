@@ -8,10 +8,9 @@
 
 use crate::graph::{CommGraph, Flow};
 use crate::nas::Benchmark;
-use serde::{Deserialize, Serialize};
 
 /// A saved communication profile.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Profile {
     /// Human-readable workload name (e.g. "CG.D.16384").
     pub name: String,

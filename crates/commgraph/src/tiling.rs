@@ -10,11 +10,10 @@
 //! and the rank→tile assignment induced by a tile shape.
 
 use crate::graph::{CommGraph, Rank};
-use serde::{Deserialize, Serialize};
 
 /// A logical grid arrangement of MPI ranks (last dimension fastest, like
 /// node ids in `rahtm-topology`).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RankGrid {
     dims: Vec<u32>,
     strides: Vec<u32>,

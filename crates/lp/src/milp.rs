@@ -16,10 +16,12 @@
 //! ## Work stealing
 //!
 //! [`solve_milp`] spreads nodes over `opts.threads` workers (one included),
-//! each owning a LIFO deque (depth-first locally) whose oldest entries —
-//! the nodes closest to the root, i.e. the largest subtrees — can be
-//! stolen by idle siblings. A shared [`Injector`] seeds the root and
-//! absorbs nothing else; after that, load balance is pure stealing.
+//! each owning a mutex-guarded deque. The owner pushes and pops at the
+//! back (LIFO, depth-first locally); idle siblings steal from the front,
+//! taking the oldest entries — the nodes closest to the root, i.e. the
+//! largest subtrees. The root node seeds worker 0's deque; after that,
+//! load balance is pure stealing. Worker 0 runs on the calling thread and
+//! the others on scoped threads, so a one-worker solve spawns none.
 //!
 //! ## Why node results don't depend on interleaving
 //!
@@ -48,11 +50,10 @@
 
 use crate::problem::Problem;
 use crate::simplex::{BasisSnapshot, LpStatus, SimplexOptions, SimplexScratch};
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use parking_lot::Mutex;
 use rahtm_obs::counters;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Termination status of a MILP solve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,8 +141,9 @@ struct Shared<'a> {
     p: &'a Problem,
     opts: &'a MilpOptions,
     int_cols: Vec<usize>,
-    injector: Injector<Node>,
-    stealers: Vec<Stealer<Node>>,
+    /// One deque per worker: the owner pushes and pops at the back,
+    /// siblings steal from the front.
+    deques: Vec<Mutex<VecDeque<Node>>>,
     incumbent: Mutex<Incumbent>,
     /// `f64::to_bits` of the incumbent objective (`+inf` when none).
     best_bits: AtomicU64,
@@ -166,6 +168,12 @@ struct WorkerStats {
     lp_solves: u64,
     pivots: u64,
     polls: u64,
+}
+
+/// Locks `m`, ignoring poison: a panicking worker is already flagged by
+/// its [`PanicGuard`], and its siblings only need to drain and exit.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Flags `poisoned` if the worker body unwinds, so idle siblings stop
@@ -197,15 +205,12 @@ pub fn solve_milp(p: &Problem, opts: &MilpOptions) -> MilpResult {
         best_x = Some(inc.clone());
     }
 
-    let workers: Vec<Worker<Node>> = (0..opts.threads.max(1))
-        .map(|_| Worker::new_lifo())
-        .collect();
+    let workers = opts.threads.max(1);
     let shared = Shared {
         p,
         opts,
         int_cols: p.integer_cols().iter().map(|c| c.index()).collect(),
-        injector: Injector::new(),
-        stealers: workers.iter().map(Worker::stealer).collect(),
+        deques: (0..workers).map(|_| Mutex::default()).collect(),
         incumbent: Mutex::new(Incumbent {
             obj: best_obj,
             x: best_x,
@@ -218,30 +223,25 @@ pub fn solve_milp(p: &Problem, opts: &MilpOptions) -> MilpResult {
         poisoned: AtomicBool::new(false),
         open_bounds: Mutex::new(Vec::new()),
     };
-    shared.injector.push(Node {
+    lock(&shared.deques[0]).push_back(Node {
         overrides: Vec::new(),
         parent_bound: f64::NEG_INFINITY,
         snapshot: None,
     });
 
-    let stats: Vec<WorkerStats> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = workers
-            .into_iter()
-            .enumerate()
-            .map(|(i, local)| {
-                let shared = &shared;
-                scope.spawn(move |_| worker_loop(i, local, shared))
-            })
+    let stats: Vec<WorkerStats> = std::thread::scope(|scope| {
+        let shared = &shared;
+        let handles: Vec<_> = (1..workers)
+            .map(|i| scope.spawn(move || worker_loop(i, shared)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
+        let first = worker_loop(0, shared);
+        std::iter::once(first)
+            .chain(handles.into_iter().map(|h| match h.join() {
                 Ok(s) => s,
                 Err(payload) => std::panic::resume_unwind(payload),
-            })
+            }))
             .collect()
-    })
-    .unwrap_or_default();
+    });
 
     let nodes = shared.explored.load(Ordering::Acquire);
     let exhausted = shared.exhausted.load(Ordering::Acquire);
@@ -249,8 +249,14 @@ pub fn solve_milp(p: &Problem, opts: &MilpOptions) -> MilpResult {
     let Incumbent {
         obj: best_obj,
         x: best_x,
-    } = shared.incumbent.into_inner();
-    let open_bounds = shared.open_bounds.into_inner();
+    } = shared
+        .incumbent
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    let open_bounds = shared
+        .open_bounds
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
 
     let rec = &opts.lp.recorder;
     let total = |f: fn(&WorkerStats) -> u64| stats.iter().map(f).sum::<u64>();
@@ -293,25 +299,24 @@ pub fn solve_milp(p: &Problem, opts: &MilpOptions) -> MilpResult {
     }
 }
 
-fn worker_loop(index: usize, local: Worker<Node>, shared: &Shared<'_>) -> WorkerStats {
+fn worker_loop(index: usize, shared: &Shared<'_>) -> WorkerStats {
     let _guard = PanicGuard(&shared.poisoned);
+    let local = &shared.deques[index];
     let mut scratch = SimplexScratch::new(shared.p);
     let mut stats = WorkerStats::default();
     loop {
-        let node = local
-            .pop()
-            .or_else(|| shared.injector.steal().success())
-            .or_else(|| {
-                let k = shared.stealers.len();
-                (1..k).find_map(|off| {
-                    if let Steal::Success(n) = shared.stealers[(index + off) % k].steal() {
-                        stats.steals += 1;
-                        Some(n)
-                    } else {
-                        None
-                    }
-                })
+        // The own deque's guard must drop before a sibling's is taken:
+        // holding it through the steal lets two idle workers deadlock.
+        let popped = lock(local).pop_back();
+        let node = popped.or_else(|| {
+            let k = shared.deques.len();
+            let stolen = (1..k).find_map(|off| {
+                let sibling = &shared.deques[(index + off) % k];
+                lock(sibling).pop_front()
             });
+            stats.steals += u64::from(stolen.is_some());
+            stolen
+        });
         let Some(node) = node else {
             if shared.pending.load(Ordering::Acquire) == 0
                 || shared.poisoned.load(Ordering::Acquire)
@@ -321,7 +326,7 @@ fn worker_loop(index: usize, local: Worker<Node>, shared: &Shared<'_>) -> Worker
             std::thread::yield_now();
             continue;
         };
-        process(node, &local, &mut scratch, shared, &mut stats);
+        process(node, local, &mut scratch, shared, &mut stats);
         shared.pending.fetch_sub(1, Ordering::AcqRel);
     }
     stats
@@ -329,7 +334,7 @@ fn worker_loop(index: usize, local: Worker<Node>, shared: &Shared<'_>) -> Worker
 
 /// Marks the search truncated and records the dropped subtree's bound.
 fn drop_subtree(shared: &Shared<'_>, bound: f64, deadline: bool) {
-    shared.open_bounds.lock().push(bound);
+    lock(&shared.open_bounds).push(bound);
     shared.exhausted.store(true, Ordering::Release);
     if deadline {
         shared.deadline_hit.store(true, Ordering::Release);
@@ -341,7 +346,7 @@ fn drop_subtree(shared: &Shared<'_>, bound: f64, deadline: bool) {
 /// children onto the local deque with the nearest-integer child on top.
 fn process(
     node: Node,
-    local: &Worker<Node>,
+    local: &Mutex<VecDeque<Node>>,
     scratch: &mut SimplexScratch,
     shared: &Shared<'_>,
     stats: &mut WorkerStats,
@@ -414,7 +419,7 @@ fn process(
             if obj <= f64::from_bits(shared.best_bits.load(Ordering::Acquire))
                 && shared.p.is_feasible(&x, 1e-5)
             {
-                let mut inc = shared.incumbent.lock();
+                let mut inc = lock(&shared.incumbent);
                 let better = match &inc.x {
                     None => obj < inc.obj || inc.obj.is_infinite(),
                     Some(bx) => obj < inc.obj || (obj == inc.obj && lex_less(&x, bx)),
@@ -446,12 +451,13 @@ fn process(
             // LIFO deque: push the nearest-integer child last so it pops
             // first.
             shared.pending.fetch_add(2, Ordering::AcqRel);
+            let mut local = lock(local);
             if v - floor <= 0.5 {
-                local.push(hi_child);
-                local.push(lo_child);
+                local.push_back(hi_child);
+                local.push_back(lo_child);
             } else {
-                local.push(lo_child);
-                local.push(hi_child);
+                local.push_back(lo_child);
+                local.push_back(hi_child);
             }
         }
     }

@@ -21,9 +21,8 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Canonical counter names recorded by the pipeline and solvers. Keeping
@@ -132,6 +131,13 @@ pub mod gauges {
     }
 }
 
+/// Locks `m`, ignoring poison: a thread that panics while recording leaves
+/// the sink usable, so a salvaged pass keeps recording into the same
+/// recorder.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[derive(Debug, Default)]
 struct Sink {
     counters: Mutex<BTreeMap<String, u64>>,
@@ -148,7 +154,7 @@ struct SpanAgg {
 
 impl Sink {
     fn add_counter(&self, name: &str, delta: u64) {
-        let mut counters = self.counters.lock();
+        let mut counters = lock(&self.counters);
         match counters.get_mut(name) {
             Some(value) => *value += delta,
             None => {
@@ -158,7 +164,7 @@ impl Sink {
     }
 
     fn add_span(&self, name: &str, count: u64, secs: f64) {
-        let mut spans = self.spans.lock();
+        let mut spans = lock(&self.spans);
         let agg = spans.entry(name.to_string()).or_default();
         agg.count += count;
         agg.secs += secs;
@@ -213,14 +219,17 @@ impl Recorder {
     #[inline]
     pub fn gauge(&self, name: &str, value: f64) {
         if let Some(sink) = &self.inner {
-            sink.gauges.lock().entry(name.to_string()).or_default().push(value);
+            lock(&sink.gauges)
+                .entry(name.to_string())
+                .or_default()
+                .push(value);
         }
     }
 
     /// Records one human-readable event line (a degradation the run took).
     pub fn event(&self, line: String) {
         if let Some(sink) = &self.inner {
-            sink.events.lock().push(line);
+            lock(&sink.events).push(line);
         }
     }
 
@@ -259,15 +268,18 @@ impl Recorder {
             sink.add_span(&s.name, s.count, s.secs);
         }
         for g in &journal.gauges {
-            sink.gauges.lock().entry(g.name.clone()).or_default().extend(&g.values);
+            lock(&sink.gauges)
+                .entry(g.name.clone())
+                .or_default()
+                .extend(&g.values);
         }
-        sink.events.lock().extend(journal.events.iter().cloned());
+        lock(&sink.events).extend(journal.events.iter().cloned());
     }
 
     /// Current value of a counter (0 if never recorded or disabled).
     pub fn counter(&self, name: &str) -> u64 {
         match &self.inner {
-            Some(sink) => sink.counters.lock().get(name).copied().unwrap_or(0),
+            Some(sink) => lock(&sink.counters).get(name).copied().unwrap_or(0),
             None => 0,
         }
     }
@@ -277,9 +289,7 @@ impl Recorder {
         let Some(sink) = &self.inner else {
             return Journal::default();
         };
-        let spans = sink
-            .spans
-            .lock()
+        let spans = lock(&sink.spans)
             .iter()
             .map(|(name, agg)| SpanEntry {
                 name: name.clone(),
@@ -287,18 +297,14 @@ impl Recorder {
                 secs: agg.secs,
             })
             .collect();
-        let counters = sink
-            .counters
-            .lock()
+        let counters = lock(&sink.counters)
             .iter()
             .map(|(name, &value)| CounterEntry {
                 name: name.clone(),
                 value,
             })
             .collect();
-        let gauges = sink
-            .gauges
-            .lock()
+        let gauges = lock(&sink.gauges)
             .iter()
             .map(|(name, values)| {
                 let mut values = values.clone();
@@ -309,7 +315,7 @@ impl Recorder {
                 }
             })
             .collect();
-        let mut events = sink.events.lock().clone();
+        let mut events = lock(&sink.events).clone();
         events.sort();
         Journal {
             spans,
@@ -530,6 +536,35 @@ mod tests {
         let j = rec.journal();
         assert_eq!(j, Journal::default());
         assert_eq!(rec.counter("x"), 0);
+    }
+
+    #[test]
+    fn panic_while_holding_sink_locks_leaves_recorder_usable() {
+        let rec = Recorder::enabled();
+        rec.add("before", 1);
+        let sink = Arc::clone(rec.inner.as_ref().expect("enabled recorder has a sink"));
+        let dying = std::thread::spawn(move || {
+            let _counters = sink.counters.lock();
+            let _spans = sink.spans.lock();
+            let _gauges = sink.gauges.lock();
+            let _events = sink.events.lock();
+            panic!("recording thread dies holding every sink lock");
+        });
+        assert!(dying.join().is_err());
+        let sink = rec.inner.as_ref().expect("enabled recorder has a sink");
+        assert!(sink.counters.is_poisoned() && sink.spans.is_poisoned());
+        assert!(sink.gauges.is_poisoned() && sink.events.is_poisoned());
+
+        rec.add("after", 2);
+        rec.gauge("g", 1.5);
+        rec.event("salvaged".to_string());
+        rec.record_span_secs("s", 0.25);
+        let j = rec.journal();
+        assert_eq!(j.counter("before"), Some(1));
+        assert_eq!(j.counter("after"), Some(2));
+        assert_eq!(j.gauge("g").map(|g| g.values.clone()), Some(vec![1.5]));
+        assert_eq!(j.events, vec!["salvaged".to_string()]);
+        assert_eq!(j.span("s").map(|s| s.count), Some(1));
     }
 
     #[test]

@@ -9,11 +9,10 @@
 use rahtm_commgraph::{CommGraph, Rank};
 use rahtm_routing::{mapping_hop_bytes, mapping_mcl, Routing};
 use rahtm_topology::{BgqMachine, NodeId};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// A complete rank→(node, core-slot) mapping.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TaskMapping {
     node_of: Vec<NodeId>,
     slot_of: Vec<u32>,

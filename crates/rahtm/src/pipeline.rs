@@ -74,7 +74,9 @@ pub struct RahtmConfig {
     /// Simulated-annealing proposals per sub-problem (incumbent and/or
     /// fallback).
     pub anneal_iters: usize,
-    /// Cache solutions of structurally identical sub-problems.
+    /// Solve structurally identical sub-problems once per level, and merge
+    /// parents with equal merge keys once per side (repeats take the
+    /// first's answer). `false` solves and merges every job.
     pub cache_subproblems: bool,
     /// Search tile shapes in phase 1 (ablation knob; `false` takes the
     /// first valid shape instead of the minimum-cut one).
@@ -446,8 +448,9 @@ impl RahtmMapper {
                 None => return Err(RahtmError::internal("slice block vanished")),
             },
             _ => {
-                // slice blocks exceed full_group_member_limit, so the
-                // search automatically restricts to axis flips
+                // slice blocks with more members than
+                // full_group_member_limit search axis flips only; smaller
+                // ones (64 members on 4x4x4x2) search the full group
                 let whole = SubCube::whole(topo);
                 let job = MergeJob {
                     origin: *whole.origin(),

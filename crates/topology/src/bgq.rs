@@ -12,13 +12,12 @@
 use crate::coord::Coord;
 use crate::subcube::SubCube;
 use crate::torus::Torus;
-use serde::{Deserialize, Serialize};
 
 /// Canonical BG/Q dimension names; index 5 (`T`) is the on-node core slot.
 pub const DIM_NAMES: [char; 6] = ['A', 'B', 'C', 'D', 'E', 'T'];
 
 /// A machine: a node-level torus plus per-node process capacity.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BgqMachine {
     torus: Torus,
     cores_per_node: u32,

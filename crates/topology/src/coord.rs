@@ -6,7 +6,6 @@
 //! "short vector" idiom from the Rust performance guides, without pulling in
 //! an extra dependency.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum number of topology dimensions supported.
@@ -21,7 +20,7 @@ pub const MAX_DIMS: usize = 8;
 /// Components are `u16`, which supports tori up to 65 536 nodes per
 /// dimension — far beyond any machine the paper considers (BG/Q dimensions
 /// have arity 2–16).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Coord {
     n: u8,
     xs: [u16; MAX_DIMS],

@@ -14,10 +14,9 @@
 //! non-uniform boxes by restricting to extent-preserving permutations.
 
 use crate::coord::{Coord, MAX_DIMS};
-use serde::{Deserialize, Serialize};
 
 /// A signed permutation of box axes: `y[d] = flip_d(x[perm[d]])`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Orientation {
     n: u8,
     /// `perm[d]` is the input axis that feeds output axis `d`.

@@ -12,10 +12,9 @@
 
 use crate::coord::Coord;
 use crate::torus::{NodeId, Torus};
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned box of nodes inside a parent torus.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SubCube {
     origin: Coord,
     extent: Coord,

@@ -17,7 +17,6 @@
 //! array index instead of a hash lookup — the hot path of MCL evaluation.
 
 use crate::coord::Coord;
-use serde::{Deserialize, Serialize};
 
 /// Dense node identifier (lexicographic, last dimension fastest).
 pub type NodeId = u32;
@@ -26,7 +25,7 @@ pub type NodeId = u32;
 pub type ChannelId = u32;
 
 /// Direction of travel along a dimension.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Increasing coordinate.
     Plus,
@@ -91,7 +90,7 @@ pub struct Channel {
 ///
 /// Node ids are lexicographic with the **last dimension varying fastest**,
 /// so for dims `[A,B]` node `(a,b)` has id `a*B + b`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Torus {
     dims: Vec<u16>,
     wrap: Vec<bool>,

@@ -320,14 +320,19 @@ fn run(args: &Args) -> Result<(), RahtmError> {
         }
         let d = &result.stats.degradation;
         if d.total_downgrades() > 0 {
+            // The parenthesised terms sum to the total; the rung counts
+            // after them include configured top-rung answers too.
             println!(
                 "degradation  : {} downgrade(s) under the time budget \
-                 (milp {}, anneal {}, greedy {}, identity merges {})",
+                 (sub-problems {}, identity merges {}, salvaged passes {}); \
+                 rungs: milp {}, anneal {}, greedy {}",
                 d.total_downgrades(),
+                d.downgraded,
+                d.identity_merges,
+                d.salvaged_workers,
                 d.milp,
                 d.anneal,
-                d.greedy,
-                d.identity_merges
+                d.greedy
             );
         }
     }

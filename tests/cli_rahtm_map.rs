@@ -246,7 +246,28 @@ fn zero_time_limit_still_succeeds_with_degradation_note() {
         .expect("binary runs");
     assert!(output.status.success(), "{output:?}");
     let text = String::from_utf8_lossy(&output.stdout);
-    assert!(text.contains("degradation"), "downgrades reported: {text}");
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("degradation"))
+        .unwrap_or_else(|| panic!("downgrades reported: {text}"));
+    // "degradation  : N downgrade(s) … (sub-problems s, identity merges i,
+    // salvaged passes p); rungs: …" — the three terms must add up to N.
+    let count_after = |label: &str| -> usize {
+        let at = line
+            .find(label)
+            .unwrap_or_else(|| panic!("{label} in {line}"));
+        let rest = line[at + label.len()..].trim_start();
+        let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+        digits
+            .parse()
+            .unwrap_or_else(|_| panic!("count after {label} in {line}"))
+    };
+    let total = count_after(":");
+    let terms = count_after("sub-problems")
+        + count_after("identity merges")
+        + count_after("salvaged passes");
+    assert!(total > 0, "{line}");
+    assert_eq!(terms, total, "terms add up to the total: {line}");
     let mapfile = std::fs::read_to_string(&out).unwrap();
     assert_eq!(mapfile.lines().count(), 64, "complete mapping written");
 }

@@ -1,5 +1,5 @@
 //! Fault-injection tests for the pipeline's degradation ladder: every
-//! rung (MILP → annealing → greedy) and the slice-salvage path must be
+//! rung (MILP → annealing → greedy) and the level-pass salvage path must be
 //! exercised deterministically, and the run must still deliver a valid
 //! mapping with the downgrade visible in the [`DegradationReport`].
 
