@@ -105,7 +105,8 @@ pub mod spans {
     pub const MILP: &str = "pipeline.milp";
     /// Phase 3 (bottom-up orientation merge).
     pub const MERGE: &str = "pipeline.merge";
-    /// Final cross-slice merge.
+    /// Phase 3's last side on a machine of several slices: the merge of
+    /// the slice blocks over the whole machine (nested under [`MERGE`]).
     pub const MERGE_SLICES: &str = "pipeline.merge.slices";
     /// Optional §VI polish pass.
     pub const POLISH: &str = "pipeline.polish";
@@ -119,7 +120,7 @@ pub mod spans {
 pub mod gauges {
     /// Predicted node-level MCL of the final mapping.
     pub const PREDICTED_MCL: &str = "pipeline.predicted_mcl";
-    /// MCL of the final cross-slice merge.
+    /// MCL of the machine-wide merge of the slice blocks.
     pub const MERGE_MCL_SLICES: &str = "merge.mcl.slices";
     /// Per-parent merged MCL at block side `sb` (one value per merge).
     pub fn merge_mcl(sb: u16) -> String {

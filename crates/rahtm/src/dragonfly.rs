@@ -17,7 +17,7 @@
 //! uniform-random gateway router pair, giving exact per-link expected
 //! loads — the dragonfly analogue of the paper's MAR approximation).
 
-use crate::cluster::cluster_level;
+use crate::fattree::number_leaves;
 use rahtm_commgraph::{CommGraph, RankGrid};
 
 /// A canonical dragonfly machine.
@@ -176,68 +176,11 @@ pub fn dragonfly_map(df: &Dragonfly, graph: &CommGraph, grid: &RankGrid) -> Drag
     let r = graph.num_ranks();
     let n = df.num_nodes();
     assert!(r >= n && r.is_multiple_of(n), "ranks must fill nodes");
-    let conc = r / n;
     assert_eq!(grid.num_ranks(), r);
 
-    // ranks -> nodes
-    let lvl_node = cluster_level(graph, grid, conc);
-    // nodes -> routers
-    let lvl_router = cluster_level(
-        &lvl_node.coarse_graph,
-        &lvl_node.coarse_grid,
-        df.nodes_per_router,
-    );
-    // routers -> groups
-    let lvl_group = cluster_level(
-        &lvl_router.coarse_graph,
-        &lvl_router.coarse_grid,
-        df.routers_per_group,
-    );
-
-    // compose: rank -> node cluster -> router cluster -> group cluster
-    let rank_to_node_cl = &lvl_node.assignment;
-    let node_cl_to_router = &lvl_router.assignment;
-    let router_to_group = &lvl_group.assignment;
-
-    // Assign physical ids: groups in cluster order, routers within each
-    // group in cluster order, nodes within each router in cluster order —
-    // all levels symmetric, so any consistent numbering is optimal for the
-    // chosen partition.
-    // physical router id for each router cluster:
-    let num_routers = (df.routers_per_group * df.num_groups) as usize;
-    let mut router_phys = vec![u32::MAX; num_routers];
-    {
-        let mut next_in_group = vec![0u32; df.num_groups as usize];
-        for rc in 0..num_routers as u32 {
-            let grp = router_to_group[rc as usize];
-            let slot = next_in_group[grp as usize];
-            assert!(
-                slot < df.routers_per_group,
-                "group {grp} over-filled (partition must be balanced)"
-            );
-            router_phys[rc as usize] = grp * df.routers_per_group + slot;
-            next_in_group[grp as usize] = slot + 1;
-        }
-    }
-    // physical node id for each node cluster:
-    let mut node_phys = vec![u32::MAX; n as usize];
-    {
-        let mut next_on_router = vec![0u32; num_routers];
-        for nc in 0..n {
-            let rc = node_cl_to_router[nc as usize];
-            let slot = next_on_router[rc as usize];
-            assert!(
-                slot < df.nodes_per_router,
-                "router cluster {rc} over-filled"
-            );
-            node_phys[nc as usize] = router_phys[rc as usize] * df.nodes_per_router + slot;
-            next_on_router[rc as usize] = slot + 1;
-        }
-    }
-    let node_of: Vec<u32> = rank_to_node_cl
-        .iter()
-        .map(|&nc| node_phys[nc as usize])
-        .collect();
+    // ranks -> nodes -> routers -> groups
+    let arities = [df.nodes_per_router, df.routers_per_group, df.num_groups];
+    let (node_of, _) = number_leaves(graph, grid, r / n, &arities);
     let mcl = df.mcl(graph, &node_of);
     DragonflyMapping { node_of, mcl }
 }
@@ -336,5 +279,71 @@ mod tests {
         assert!((m.mcl - df.mcl(&g, &m.node_of)).abs() < 1e-12);
     }
 
+    /// Reference node numbering, written out level by level: one slot
+    /// counter per group, then one per router.
+    fn reference_dragonfly_map(df: &Dragonfly, graph: &CommGraph, grid: &RankGrid) -> Vec<u32> {
+        let n = df.num_nodes();
+        let conc = graph.num_ranks() / n;
+        let lvl_node = cluster_level(graph, grid, conc);
+        let lvl_router = cluster_level(
+            &lvl_node.coarse_graph,
+            &lvl_node.coarse_grid,
+            df.nodes_per_router,
+        );
+        let lvl_group = cluster_level(
+            &lvl_router.coarse_graph,
+            &lvl_router.coarse_grid,
+            df.routers_per_group,
+        );
+        let num_routers = (df.routers_per_group * df.num_groups) as usize;
+        let mut router_phys = vec![u32::MAX; num_routers];
+        let mut next_in_group = vec![0u32; df.num_groups as usize];
+        for rc in 0..num_routers {
+            let grp = lvl_group.assignment[rc];
+            let slot = next_in_group[grp as usize];
+            assert!(slot < df.routers_per_group);
+            router_phys[rc] = grp * df.routers_per_group + slot;
+            next_in_group[grp as usize] = slot + 1;
+        }
+        let mut node_phys = vec![u32::MAX; n as usize];
+        let mut next_on_router = vec![0u32; num_routers];
+        for nc in 0..n as usize {
+            let rc = lvl_router.assignment[nc];
+            let slot = next_on_router[rc as usize];
+            assert!(slot < df.nodes_per_router);
+            node_phys[nc] = router_phys[rc as usize] * df.nodes_per_router + slot;
+            next_on_router[rc as usize] = slot + 1;
+        }
+        lvl_node
+            .assignment
+            .iter()
+            .map(|&nc| node_phys[nc as usize])
+            .collect()
+    }
+
+    #[test]
+    fn node_numbering_matches_the_reference() {
+        let mut rng = StdRng::seed_from_u64(12);
+        for case in 0..60u64 {
+            let df = Dragonfly {
+                nodes_per_router: rng.gen_range(1..4),
+                routers_per_group: rng.gen_range(2..5),
+                num_groups: rng.gen_range(2..5),
+                global_width: 1.0,
+            };
+            let r = df.num_nodes() * rng.gen_range(1..4);
+            let flows = rng.gen_range(r as usize..4 * r as usize);
+            let g = patterns::random(r, flows, 1.0, 10.0, case);
+            let grid = random_grid(&mut rng, r);
+            let m = dragonfly_map(&df, &g, &grid);
+            let reference = reference_dragonfly_map(&df, &g, &grid);
+            assert_eq!(m.node_of, reference, "case {case}: {df:?}, grid {:?}", grid.dims());
+        }
+    }
+
+    use crate::cluster::cluster_level;
+    use crate::fattree::tests::random_grid;
     use rahtm_commgraph::CommGraph;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 }

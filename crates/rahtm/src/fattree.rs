@@ -17,7 +17,7 @@
 //! which is exactly what the MCL normalization sees).
 
 use crate::cluster::cluster_level;
-use rahtm_commgraph::{contract::compose_assignments, CommGraph, Rank, RankGrid};
+use rahtm_commgraph::{CommGraph, RankGrid};
 
 /// A folded fat-tree machine.
 #[derive(Clone, Debug, PartialEq)]
@@ -174,64 +174,8 @@ pub fn fattree_map(tree: &FatTree, graph: &CommGraph, grid: &RankGrid) -> FatTre
     let r = graph.num_ranks();
     let leaves = tree.num_leaves();
     assert!(r >= leaves && r.is_multiple_of(leaves), "ranks must fill leaves");
-    let conc = r / leaves;
     assert_eq!(grid.num_ranks(), r);
-
-    // Phase 1 at the leaf level: absorb the concentration factor.
-    let mut shapes = Vec::new();
-    let base = cluster_level(graph, grid, conc);
-    shapes.push(base.shape.clone());
-    // rank -> current cluster id
-    let mut assignment: Vec<Rank> = base.assignment.clone();
-    let mut cur_graph = base.coarse_graph;
-    let mut cur_grid = base.coarse_grid;
-
-    // Recursive clustering up the tree: level ℓ groups arity[ℓ] subtrees.
-    for level in 0..tree.levels() - 1 {
-        let lvl = cluster_level(&cur_graph, &cur_grid, tree.arity[level]);
-        shapes.push(lvl.shape.clone());
-        assignment = compose_assignments(&assignment, &lvl.assignment);
-        cur_graph = lvl.coarse_graph;
-        cur_grid = lvl.coarse_grid;
-    }
-    // `assignment` now maps each rank to its top-level subtree; walking the
-    // hierarchy back down assigns concrete leaves: since siblings are
-    // interchangeable, we just number clusters depth-first. Reconstruct a
-    // leaf id by re-walking the per-level assignments.
-    //
-    // Simpler equivalent: recompute per-rank cluster ids level by level and
-    // build the mixed-radix leaf index.
-    let mut per_level: Vec<Vec<Rank>> = Vec::new(); // rank -> cluster at each level (fine->coarse)
-    {
-        let base = cluster_level(graph, grid, conc);
-        let mut acc = base.assignment.clone();
-        let mut g = base.coarse_graph;
-        let mut gr = base.coarse_grid;
-        per_level.push(acc.clone());
-        for level in 0..tree.levels() - 1 {
-            let lvl = cluster_level(&g, &gr, tree.arity[level]);
-            acc = compose_assignments(&acc, &lvl.assignment);
-            per_level.push(acc.clone());
-            g = lvl.coarse_graph;
-            gr = lvl.coarse_grid;
-        }
-    }
-    // leaf id of a rank: within each level, the cluster's index among its
-    // siblings = cluster_id % arity (cluster ids are dense and contracted
-    // in tile order, so consecutive ids share parents only by
-    // construction of compose; to be safe, derive sibling index from the
-    // pair (child id, parent id) ordering).
-    let mut leaf_of = vec![0u32; r as usize];
-    for rank in 0..r as usize {
-        let mut leaf = 0u32;
-        // walk from the top level down to leaves
-        for level in (0..tree.levels()).rev() {
-            let child_cluster = per_level[level][rank];
-            let sibling = sibling_index(&per_level, level, tree, child_cluster);
-            leaf = leaf * tree.arity[level] + sibling;
-        }
-        leaf_of[rank] = leaf;
-    }
+    let (leaf_of, shapes) = number_leaves(graph, grid, r / leaves, &tree.arity);
     let mcl = tree.mcl(graph, &leaf_of);
     FatTreeMapping {
         leaf_of,
@@ -240,29 +184,50 @@ pub fn fattree_map(tree: &FatTree, graph: &CommGraph, grid: &RankGrid) -> FatTre
     }
 }
 
-/// Index of `cluster` among its siblings at `level` (0-based, by id order).
-fn sibling_index(per_level: &[Vec<Rank>], level: usize, tree: &FatTree, cluster: Rank) -> u32 {
-    if level + 1 >= per_level.len() {
-        // top level: siblings are all top clusters
-        return cluster % tree.arity[tree.levels() - 1];
+/// The partition of a tree of interchangeable siblings, numbered: clusters
+/// `graph` by `concentration` ranks per leaf, then by each of `arities`
+/// but the last, finest first (the top holds `arities.last()` clusters).
+/// Siblings are interchangeable, so any consistent numbering is optimal for
+/// the partition; this one is mixed-radix, each cluster taking the next
+/// slot of its parent in cluster-id order. Returns each rank's leaf and the
+/// tile shape of each clustering, finest first (empty for the chunk
+/// fallback).
+///
+/// # Panics
+/// Panics if a cluster gets more children than its level's arity.
+pub(crate) fn number_leaves(
+    graph: &CommGraph,
+    grid: &RankGrid,
+    concentration: u32,
+    arities: &[u32],
+) -> (Vec<u32>, Vec<Vec<u32>>) {
+    let base = cluster_level(graph, grid, concentration);
+    let mut shapes = vec![base.shape];
+    // per clustering: (child cluster -> parent cluster, children per parent)
+    let mut levels = Vec::new();
+    let (mut g, mut gr) = (base.coarse_graph, base.coarse_grid);
+    for &arity in &arities[..arities.len() - 1] {
+        let lvl = cluster_level(&g, &gr, arity);
+        shapes.push(lvl.shape);
+        levels.push((lvl.assignment, arity));
+        (g, gr) = (lvl.coarse_graph, lvl.coarse_grid);
     }
-    // parent of `cluster`: find any rank in the cluster, read next level
-    let rank = match per_level[level].iter().position(|&c| c == cluster) {
-        Some(r) => r,
-        // clusters are built from per_level itself, so every id occurs
-        None => unreachable!("cluster absent from its own level"),
-    };
-    let parent = per_level[level + 1][rank];
-    // siblings: clusters at this level whose parent matches, ordered by id
-    let mut siblings: Vec<Rank> = Vec::new();
-    for (rk, &c) in per_level[level].iter().enumerate() {
-        if per_level[level + 1][rk] == parent && !siblings.contains(&c) {
-            siblings.push(c);
-        }
+    // top-down: a top cluster's number is its id
+    let mut number: Vec<u32> = (0..g.num_ranks()).collect();
+    for (parent_of, arity) in levels.into_iter().rev() {
+        let mut next_slot = vec![0u32; number.len()];
+        number = parent_of
+            .iter()
+            .map(|&p| {
+                let slot = next_slot[p as usize];
+                assert!(slot < arity, "cluster {p} over-filled (partition must be balanced)");
+                next_slot[p as usize] += 1;
+                number[p as usize] * arity + slot
+            })
+            .collect();
     }
-    siblings.sort_unstable();
-    // `cluster` is one of its own siblings by construction
-    siblings.iter().position(|&c| c == cluster).map_or(0, |i| i as u32)
+    let leaf_of = base.assignment.iter().map(|&c| number[c as usize]).collect();
+    (leaf_of, shapes)
 }
 
 /// The default fat-tree mapping: rank r → leaf r / concentration.
@@ -272,7 +237,7 @@ pub fn fattree_default(tree: &FatTree, num_ranks: u32) -> Vec<u32> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rahtm_commgraph::patterns;
 
@@ -363,5 +328,105 @@ mod tests {
         assert!((m.mcl - t.mcl(&g, &m.leaf_of)).abs() < 1e-12);
     }
 
-    use rahtm_commgraph::CommGraph;
+    /// Reference leaf numbering: it builds the hierarchy a second time for
+    /// the per-level cluster ids and scans the ranks for each rank's
+    /// siblings.
+    fn reference_fattree_map(
+        tree: &FatTree,
+        graph: &CommGraph,
+        grid: &RankGrid,
+    ) -> (Vec<u32>, Vec<Vec<u32>>) {
+        let r = graph.num_ranks();
+        let conc = r / tree.num_leaves();
+        let mut shapes = Vec::new();
+        let base = cluster_level(graph, grid, conc);
+        shapes.push(base.shape.clone());
+        let mut cur_graph = base.coarse_graph;
+        let mut cur_grid = base.coarse_grid;
+        for level in 0..tree.levels() - 1 {
+            let lvl = cluster_level(&cur_graph, &cur_grid, tree.arity[level]);
+            shapes.push(lvl.shape.clone());
+            cur_graph = lvl.coarse_graph;
+            cur_grid = lvl.coarse_grid;
+        }
+        let mut per_level: Vec<Vec<Rank>> = Vec::new();
+        {
+            let base = cluster_level(graph, grid, conc);
+            let mut acc = base.assignment.clone();
+            let mut g = base.coarse_graph;
+            let mut gr = base.coarse_grid;
+            per_level.push(acc.clone());
+            for level in 0..tree.levels() - 1 {
+                let lvl = cluster_level(&g, &gr, tree.arity[level]);
+                acc = compose_assignments(&acc, &lvl.assignment);
+                per_level.push(acc.clone());
+                g = lvl.coarse_graph;
+                gr = lvl.coarse_grid;
+            }
+        }
+        let mut leaf_of = vec![0u32; r as usize];
+        for rank in 0..r as usize {
+            let mut leaf = 0u32;
+            for level in (0..tree.levels()).rev() {
+                let child_cluster = per_level[level][rank];
+                let sibling = sibling_index(&per_level, level, tree, child_cluster);
+                leaf = leaf * tree.arity[level] + sibling;
+            }
+            leaf_of[rank] = leaf;
+        }
+        (leaf_of, shapes)
+    }
+
+    fn sibling_index(per_level: &[Vec<Rank>], level: usize, tree: &FatTree, cluster: Rank) -> u32 {
+        if level + 1 >= per_level.len() {
+            return cluster % tree.arity[tree.levels() - 1];
+        }
+        let rank = per_level[level].iter().position(|&c| c == cluster).unwrap();
+        let parent = per_level[level + 1][rank];
+        let mut siblings: Vec<Rank> = Vec::new();
+        for (rk, &c) in per_level[level].iter().enumerate() {
+            if per_level[level + 1][rk] == parent && !siblings.contains(&c) {
+                siblings.push(c);
+            }
+        }
+        siblings.sort_unstable();
+        siblings.iter().position(|&c| c == cluster).map_or(0, |i| i as u32)
+    }
+
+    /// A random rank grid of `r` ranks: one, two or three dims.
+    pub(crate) fn random_grid(rng: &mut StdRng, r: u32) -> RankGrid {
+        let divisors: Vec<u32> = (1..=r).filter(|d| r.is_multiple_of(*d)).collect();
+        let a = divisors[rng.gen_range(0..divisors.len())];
+        let rest = r / a;
+        let divisors: Vec<u32> = (1..=rest).filter(|d| rest.is_multiple_of(*d)).collect();
+        let b = divisors[rng.gen_range(0..divisors.len())];
+        match rng.gen_range(0..3) {
+            0 => RankGrid::new(&[r]),
+            1 => RankGrid::new(&[a, rest]),
+            _ => RankGrid::new(&[a, b, rest / b]),
+        }
+    }
+
+    #[test]
+    fn leaf_numbering_matches_the_reference() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for case in 0..60u64 {
+            let levels = rng.gen_range(1..4);
+            let arity: Vec<u32> = (0..levels).map(|_| rng.gen_range(2..5)).collect();
+            let tree = FatTree::full_bisection(&arity);
+            let r = tree.num_leaves() * rng.gen_range(1..4);
+            let flows = rng.gen_range(r as usize..4 * r as usize);
+            let g = patterns::random(r, flows, 1.0, 10.0, case);
+            let grid = random_grid(&mut rng, r);
+            let m = fattree_map(&tree, &g, &grid);
+            let (leaf_of, shapes) = reference_fattree_map(&tree, &g, &grid);
+            assert_eq!(m.leaf_of, leaf_of, "case {case}: {arity:?}, grid {:?}", grid.dims());
+            assert_eq!(m.shapes, shapes, "case {case}");
+        }
+    }
+
+    use rahtm_commgraph::contract::compose_assignments;
+    use rahtm_commgraph::{CommGraph, Rank};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 }

@@ -58,9 +58,11 @@ pub struct MergeOptions {
     pub routing: Routing,
     /// Blocks with more members than this search only axis flips (identity
     /// permutation) instead of the full hyperoctahedral group. This bounds
-    /// the cost of merging very large blocks — in practice only the final
-    /// machine-level merge of whole slices, where re-routing every flow
-    /// per candidate makes the full group intractable.
+    /// the cost of merging very large blocks, where re-routing every flow
+    /// per candidate makes the full group intractable. In the pipeline
+    /// only slice blocks reach the default limit of 64, in the machine-wide
+    /// merge: Mira's 256-member slices search flips only, while the
+    /// 64-member slices of 4×4×4×2 search the full group.
     pub full_group_member_limit: usize,
     /// Wall-clock budget: checked on entry and between beam steps. On
     /// expiry the search stops and any still-unplaced child keeps its

@@ -12,9 +12,11 @@
 //! 3. Per slice, build the 2^n-ary clustering hierarchy, then map each
 //!    level's cluster graphs onto 2-ary n-cubes top-down with the Table II
 //!    MILP (simulated-annealing incumbent, deterministic node budget).
-//! 4. Merge solved blocks bottom-up with the orientation beam search, then
-//!    merge the slices themselves (orientation search restricted to flips
-//!    for these large blocks).
+//! 4. Merge solved blocks bottom-up with the orientation beam search, one
+//!    side at a time; the last side merges the slice blocks over the whole
+//!    machine. A block of more than 64 members searches axis flips only
+//!    (Mira's 256-member slices); smaller ones, such as the 64-member
+//!    slices of 4×4×4×2, search the full orientation group.
 //!
 //! Steps 3 and 4 walk the hierarchy level by level across all slices:
 //! each level's sub-problems, and each merge side's parent merges, form
@@ -28,7 +30,7 @@
 
 use crate::anneal::{anneal_map, AnnealOptions};
 use crate::block::Block;
-use crate::cluster::{build_hierarchy_with, cluster_level, cluster_level_with, LevelClustering};
+use crate::cluster::{build_hierarchy_with, cluster_level_with, LevelClustering};
 use crate::cores::{run_jobs, CoreBudget};
 use crate::error::{panic_message, RahtmError};
 use crate::fault::{Fault, FaultPlan};
@@ -182,7 +184,8 @@ pub struct PhaseStats {
     pub clustering_secs: f64,
     /// Phase 2 wall time (seconds).
     pub milp_secs: f64,
-    /// Phase 3 wall time (seconds), slice merge included.
+    /// Phase 3 wall time (seconds), slice merge included (the
+    /// `pipeline.merge` span, which holds `pipeline.merge.slices`).
     pub merge_secs: f64,
     /// Sub-problem solves actually performed.
     pub milp_solves: usize,
@@ -210,7 +213,7 @@ impl PhaseStats {
         PhaseStats {
             clustering_secs: secs(spans::CLUSTERING),
             milp_secs: secs(spans::MILP),
-            merge_secs: secs(spans::MERGE) + secs(spans::MERGE_SLICES),
+            merge_secs: secs(spans::MERGE),
             milp_solves: count(counters::SUBPROBLEMS_SOLVED),
             milp_cache_hits: count(counters::SUB_CACHE_HITS),
             milp_nodes: count(counters::BNB_NODES_EXPLORED),
@@ -398,7 +401,7 @@ impl RahtmMapper {
         // ---- Slicing ----
         let slices = machine.uniform_slices();
         let (slice_members, slice_grid) =
-            split_into_slices(&g_node, &node_grid, slices.len() as u32);
+            split_into_slices(&g_node, &node_grid, slices.len() as u32, cfg.tiling_search);
         recorder.record_span_secs(spans::CLUSTERING, t0.elapsed().as_secs_f64());
 
         let ctx = RunContext {
@@ -425,8 +428,8 @@ impl RahtmMapper {
                 ctx.level_pass(&slices, &slice_members, &slice_grid, cores, solved)
             }))
         };
-        let mut slice_blocks = match pass(&cores, &mut solved) {
-            Ok(blocks) => blocks,
+        let final_block = match pass(&cores, &mut solved) {
+            Ok(block) => block,
             Err(payload) => {
                 rec.incr(counters::DEGRADE_SALVAGED_WORKERS);
                 rec.event(format!(
@@ -438,29 +441,6 @@ impl RahtmMapper {
                 })?
             }
         };
-
-        // ---- Final slice merge ----
-        let t3 = Instant::now();
-        let final_block = match slice_blocks.len() {
-            0 => return Err(RahtmError::internal("no slice produced a block")),
-            1 => match slice_blocks.pop() {
-                Some(b) => b.block,
-                None => return Err(RahtmError::internal("slice block vanished")),
-            },
-            _ => {
-                // slice blocks with more members than
-                // full_group_member_limit search axis flips only; smaller
-                // ones (64 members on 4x4x4x2) search the full group
-                let whole = SubCube::whole(topo);
-                let job = MergeJob {
-                    origin: *whole.origin(),
-                    extent: *whole.extent(),
-                    children: slice_blocks,
-                };
-                ctx.merge(&cores, &job, gauges::MERGE_MCL_SLICES, "final slice merge")
-            }
-        };
-        rec.record_span_secs(spans::MERGE_SLICES, t3.elapsed().as_secs_f64());
 
         // ---- Expand to a process mapping ----
         let mut node_of_cluster = vec![u32::MAX; g_node.num_ranks() as usize];
@@ -537,9 +517,10 @@ struct RunContext<'a> {
 impl RunContext<'_> {
     /// Phases 1b, 2 and 3 for every slice, level by level: each phase-2
     /// level and each phase-3 merge side is one batch across all slices,
-    /// whose jobs run in parallel on `cores`. Returns each slice's merged
-    /// block, positioned at the slice origin. `solved` keeps sub-problem
-    /// answers across batches.
+    /// whose jobs run in parallel on `cores`. With several slices, the last
+    /// merge side is the whole machine over the slice blocks. Returns the
+    /// machine's one block. `solved` keeps sub-problem answers across
+    /// batches.
     fn level_pass(
         &self,
         slices: &[SubCube],
@@ -547,7 +528,7 @@ impl RunContext<'_> {
         grid: &RankGrid,
         cores: &CoreBudget,
         solved: &mut HashMap<SubKey, Vec<NodeId>>,
-    ) -> Vec<PositionedBlock> {
+    ) -> Block {
         let (rec, topo) = (&self.recorder, self.machine.torus());
         let nd = topo.ndims();
         // the slices are translates of one box of side `side` on the
@@ -561,36 +542,30 @@ impl RunContext<'_> {
                 && active.iter().all(|&d| extent.get(d) == side),
             "slices must be uniform"
         );
-        if n_eff == 0 {
-            // one-node slices: each slice's block is its node
-            return slices
-                .iter()
-                .zip(members)
-                .map(|(s, m)| PositionedBlock {
-                    block: Block::single(nd, m[0]),
-                    origin: *s.origin(),
-                })
-                .collect();
-        }
         let branching = 1u32 << n_eff;
 
         // ---- Phase 1b: every slice's hierarchy ----
+        // (a one-node slice has none: its node is its block)
         let t0 = Instant::now();
-        let hierarchies = run_jobs(cores, slices.len(), usize::MAX, true, |s| {
-            let g_slice = self.g_node.induced(&members[s]);
-            assert!(
-                g_slice.num_ranks() == (side as u32).pow(n_eff as u32),
-                "slice cluster count mismatch"
-            );
-            let tiling_search = self.cfg.tiling_search;
-            let levels =
-                build_hierarchy_with(&g_slice, grid, 1, branching, branching, tiling_search);
-            for (i, lvl) in levels.iter().enumerate() {
-                let clusters = lvl.coarse_graph.num_ranks() as f64;
-                rec.gauge(&gauges::cluster_level_size(i), clusters);
-            }
-            levels
-        });
+        let hierarchies = if n_eff == 0 {
+            Vec::new()
+        } else {
+            run_jobs(cores, slices.len(), usize::MAX, true, |s| {
+                let g_slice = self.g_node.induced(&members[s]);
+                assert!(
+                    g_slice.num_ranks() == (side as u32).pow(n_eff as u32),
+                    "slice cluster count mismatch"
+                );
+                let tiling_search = self.cfg.tiling_search;
+                let levels =
+                    build_hierarchy_with(&g_slice, grid, 1, branching, branching, tiling_search);
+                for (i, lvl) in levels.iter().enumerate() {
+                    let clusters = lvl.coarse_graph.num_ranks() as f64;
+                    rec.gauge(&gauges::cluster_level_size(i), clusters);
+                }
+                levels
+            })
+        };
         rec.record_span_secs(spans::CLUSTERING, t0.elapsed().as_secs_f64());
 
         // ---- Phase 2: top-down pinning, one batch per level ----
@@ -600,10 +575,6 @@ impl RunContext<'_> {
             .iter()
             .map(|&d| topo.wraps(d) && side == topo.dim(d))
             .collect();
-        let cubes = [
-            Torus::with_wraps(&vec![2u16; n_eff], &root_wraps),
-            Torus::two_ary_cube(n_eff),
-        ];
         // pins[s][c]: block coordinate (machine dims, slice-relative units
         // of the current level's blocks) of cluster c of slice s; above
         // the root level there is one block, at zero
@@ -617,13 +588,16 @@ impl RunContext<'_> {
         // RSS is 16.5 MB instead of 20.5 MB with the whole pass spawned.
         let phase2 = || {
             for level in 0..depth {
-                let cube = &cubes[level.min(1)];
+                let cube = match level {
+                    0 => Torus::with_wraps(&vec![2u16; n_eff], &root_wraps),
+                    _ => Torus::two_ary_cube(n_eff),
+                };
                 let batch: Vec<_> = hierarchies
                     .iter()
                     .map(|levels| subproblems(levels, level))
                     .collect();
                 let graphs: Vec<&CommGraph> = batch.iter().flatten().map(|(_, g)| g).collect();
-                let mut places = self.solve_level(cores, cube, &graphs, solved).into_iter();
+                let mut places = self.solve_level(cores, &cube, &graphs, solved).into_iter();
                 for ((levels, subs), pin) in hierarchies.iter().zip(&batch).zip(&mut pins) {
                     if subs.is_empty() {
                         continue;
@@ -635,7 +609,7 @@ impl RunContext<'_> {
                     {
                         assert_eq!(children.len(), branching as usize);
                         for (&child, &vertex) in children.iter().zip(&place) {
-                            let v = embed_vertex(cube, vertex, &active, nd);
+                            let v = embed_vertex(&cube, vertex, &active, nd);
                             // inactive dims stay 0: both terms are 0 there
                             let c = &mut next[child as usize];
                             for d in 0..nd {
@@ -652,7 +626,9 @@ impl RunContext<'_> {
 
         // ---- Phase 3: bottom-up merge, one batch per side ----
         // pins[s] now holds slice-relative node coordinates: 0..side-1 on
-        // active dims, 0 on inactive ones
+        // active dims, 0 on inactive ones. The sides are each slice's
+        // boxes of side 2, 4, …, `side`, then, with several slices, the
+        // whole machine over the slice blocks.
         let t2 = Instant::now();
         let mut blocks: Vec<Vec<PositionedBlock>> = slices
             .iter()
@@ -669,22 +645,32 @@ impl RunContext<'_> {
                     .collect()
             })
             .collect();
+        let whole = SubCube::whole(topo);
+        let mut regions = slices;
         let mut parent_extent = extent;
         let mut sb = 2u16;
-        while sb <= side {
-            let t_level = Instant::now();
-            for &d in &active {
-                parent_extent.set(d, sb);
-            }
-            let batch: Vec<Vec<MergeJob>> = slices
+        while sb <= side || regions.len() > 1 {
+            let t_side = Instant::now();
+            let (span, gauge) = if sb <= side {
+                for &d in &active {
+                    parent_extent.set(d, sb);
+                }
+                (spans::merge_side(sb), gauges::merge_mcl(sb))
+            } else {
+                regions = std::slice::from_ref(&whole);
+                blocks = vec![blocks.into_iter().flatten().collect()];
+                parent_extent = *whole.extent();
+                (spans::MERGE_SLICES.into(), gauges::MERGE_MCL_SLICES.into())
+            };
+            let batch: Vec<Vec<MergeJob>> = regions
                 .iter()
                 .zip(&mut blocks)
-                .map(|(slice, b)| {
-                    parents(slice.origin(), &active, &parent_extent, std::mem::take(b))
+                .map(|(region, b)| {
+                    parents(region.origin(), &active, &parent_extent, std::mem::take(b))
                 })
                 .collect();
             let jobs: Vec<&MergeJob> = batch.iter().flatten().collect();
-            let mut merged = self.merge_level(cores, sb, &jobs).into_iter();
+            let mut merged = self.merge_level(cores, &gauge, &jobs).into_iter();
             for (b, parents) in blocks.iter_mut().zip(&batch) {
                 b.extend(
                     parents
@@ -696,19 +682,17 @@ impl RunContext<'_> {
                         }),
                 );
             }
-            rec.record_span_secs(&spans::merge_side(sb), t_level.elapsed().as_secs_f64());
+            rec.record_span_secs(&span, t_side.elapsed().as_secs_f64());
             sb *= 2;
         }
         rec.record_span_secs(spans::MERGE, t2.elapsed().as_secs_f64());
-        // invariant: a panic here is caught by the salvage in `run_on`
-        // and surfaces as RahtmError::WorkerPanic, never a crash of run()
-        blocks
+        // the last side left one block, at the machine's origin
+        let left: Vec<(Block, Coord)> = blocks
             .into_iter()
-            .map(|mut b| match b.pop() {
-                Some(block) if b.is_empty() => block,
-                _ => panic!("slice must merge to a single block"),
-            })
-            .collect()
+            .flatten()
+            .map(|b| (b.block, b.origin))
+            .collect();
+        Block::compose(whole.origin(), whole.extent(), &left)
     }
 
     /// Phase 2's batch at one level: every slice's sub-problems there, all
@@ -738,21 +722,44 @@ impl RunContext<'_> {
         keys.iter().map(|key| solved[key].clone()).collect()
     }
 
-    /// Phase 3's batch at merge side `sb`: every slice's parent merges
-    /// there. Paper §III-D: a merged parent's mapping "can be copied to the
-    /// neighboring nodes in the same level as long as they have identical
-    /// local communication graphs". The torus is vertex-transitive, so
-    /// parents with equal [`merge_key`]s differ only by a translation: the
-    /// first job of each key is merged, in parallel with the batch's other
-    /// keys, and every repeat takes its block's coordinates. A key holds
-    /// the parent extent, so it never repeats across sides. With
-    /// `cache_subproblems` off every job is merged.
-    fn merge_level(&self, cores: &CoreBudget, sb: u16, jobs: &[&MergeJob]) -> Vec<Block> {
+    /// Phase 3's batch at one merge side: every parent merge there, each
+    /// recording its merged MCL under `gauge`. Paper §III-D: a merged
+    /// parent's mapping "can be copied to the neighboring nodes in the same
+    /// level as long as they have identical local communication graphs".
+    /// The torus is vertex-transitive, so parents with equal [`merge_key`]s
+    /// differ only by a translation: the first job of each key is merged,
+    /// in parallel with the batch's other keys, and every repeat takes its
+    /// block's coordinates. A key holds the parent extent, so it never
+    /// repeats across sides. With `cache_subproblems` off every job is
+    /// merged.
+    fn merge_level(&self, cores: &CoreBudget, gauge: &str, jobs: &[&MergeJob]) -> Vec<Block> {
         let rec = &self.recorder;
-        let gauge = gauges::merge_mcl(sb);
         let merge = |j: usize| {
-            let what = format!("merge of {} blocks (side {sb})", jobs[j].children.len());
-            self.merge(cores, jobs[j], &gauge, &what)
+            let job = jobs[j];
+            let res = merge_within(
+                self.machine.torus(),
+                self.g_node,
+                &job.children,
+                &job.origin,
+                &job.extent,
+                &MergeOptions {
+                    beam_width: self.cfg.beam_width,
+                    routing: self.cfg.routing,
+                    deadline: self.deadline,
+                    recorder: rec.clone(),
+                    stencils: Some(Arc::clone(&self.machine_stencils)),
+                    ..Default::default()
+                },
+                cores,
+            );
+            rec.gauge(gauge, res.mcl);
+            if res.deadline_hit {
+                let n = job.children.len();
+                rec.event(format!(
+                    "merge of {n} blocks ({gauge}): deadline hit, identity composition"
+                ));
+            }
+            res.block
         };
         if !self.cfg.cache_subproblems {
             rec.add(counters::MERGE_CACHE_MISSES, jobs.len() as u64);
@@ -790,33 +797,6 @@ impl RunContext<'_> {
                 }
             })
             .collect()
-    }
-
-    /// Merges one parent's children, records the merged MCL under
-    /// `gauge`, and names the merge as `what` in a deadline event.
-    fn merge(&self, cores: &CoreBudget, job: &MergeJob, gauge: &str, what: &str) -> Block {
-        let rec = &self.recorder;
-        let res = merge_within(
-            self.machine.torus(),
-            self.g_node,
-            &job.children,
-            &job.origin,
-            &job.extent,
-            &MergeOptions {
-                beam_width: self.cfg.beam_width,
-                routing: self.cfg.routing,
-                deadline: self.deadline,
-                recorder: rec.clone(),
-                stencils: Some(Arc::clone(&self.machine_stencils)),
-                ..Default::default()
-            },
-            cores,
-        );
-        rec.gauge(gauge, res.mcl);
-        if res.deadline_hit {
-            rec.event(format!("{what}: deadline hit, identity composition"));
-        }
-        res.block
     }
 
     /// Solves one cluster-graph → cube sub-problem through the degradation
@@ -1035,13 +1015,15 @@ fn embed_vertex(cube: &Torus, v: NodeId, active: &[usize], nd: usize) -> Coord {
     out
 }
 
-/// Splits the node-cluster graph into `s` slice groups with a tiling.
+/// Splits the node-cluster graph into `s` slice groups with a tiling
+/// (searched for the minimum cut unless `search` is off).
 /// Returns per-slice member lists (global cluster ids, local-lexicographic
 /// order) and the logical grid every slice shares.
 fn split_into_slices(
     g_node: &CommGraph,
     node_grid: &RankGrid,
     s: u32,
+    search: bool,
 ) -> (Vec<Vec<Rank>>, RankGrid) {
     let m = g_node.num_ranks();
     if s == 1 {
@@ -1049,7 +1031,7 @@ fn split_into_slices(
     }
     assert!(m.is_multiple_of(s));
     let per = m / s;
-    let lvl: LevelClustering = cluster_level(g_node, node_grid, per);
+    let lvl = cluster_level_with(g_node, node_grid, per, search);
     let mut members: Vec<Vec<Rank>> = vec![Vec::new(); s as usize];
     for (rank, &tile) in lvl.assignment.iter().enumerate() {
         members[tile as usize].push(rank as Rank);
@@ -1199,6 +1181,55 @@ mod tests {
         res.mapping.validate(&machine);
         let nodes: std::collections::HashSet<_> = res.mapping.nodes().iter().collect();
         assert_eq!(nodes.len(), 32, "all nodes used");
+    }
+
+    #[test]
+    fn slice_merge_covers_the_whole_machine() {
+        // The slice merge routes every node-level flow of the final
+        // placement, as the prediction does. [3, 3] slices into nine
+        // one-node slices, which only the machine side merges.
+        let cases = [
+            (BgqMachine::new(Torus::torus(&[4, 4, 2]), 16, 2), Benchmark::Cg.graph(64)),
+            (
+                BgqMachine::new(Torus::torus(&[3, 3]), 1, 1),
+                patterns::random(9, 18, 1.0, 5.0, 3),
+            ),
+        ];
+        for (machine, g) in cases {
+            let res = RahtmMapper::new(RahtmConfig::fast())
+                .with_recorder(Recorder::enabled())
+                .run(&machine, &g, None)
+                .expect("run");
+            res.mapping.validate(&machine);
+            let nodes: HashSet<_> = res.mapping.nodes().iter().collect();
+            assert_eq!(nodes.len(), machine.torus().num_nodes() as usize);
+            let journal = res.journal.expect("traced run");
+            let slices = journal.gauge(gauges::MERGE_MCL_SLICES).expect("slice merge");
+            assert_eq!(slices.values.len(), 1);
+            let (merged, predicted) = (slices.values[0], res.predicted_mcl);
+            assert!(
+                (merged - predicted).abs() <= 1e-9 * predicted,
+                "slice merge {merged} vs predicted {predicted}"
+            );
+        }
+    }
+
+    #[test]
+    fn slice_split_without_tiling_search_takes_the_first_shape() {
+        // 8x8 halo into 16 slices of 4: the search picks 2x2 tiles, the
+        // first shape `tile_shapes` lists is 1x4
+        let g = patterns::halo_2d(8, 8, 1.0, true);
+        let grid = RankGrid::new(&[8, 8]);
+        let first = grid.tile_shapes(4)[0].clone();
+        assert_eq!(first, vec![1, 4]);
+        for (search, shape) in [(false, first), (true, vec![2, 2])] {
+            let (members, slice_grid) = split_into_slices(&g, &grid, 16, search);
+            assert_eq!(slice_grid.dims(), shape.as_slice(), "search {search}");
+            let tile = grid.tile_assignment(&shape);
+            for (s, m) in members.iter().enumerate() {
+                assert!(m.iter().all(|&r| tile[r as usize] == s as Rank));
+            }
+        }
     }
 
     #[test]

@@ -84,7 +84,6 @@ fn walkthrough_journal_snapshot() {
             (spans::MERGE, 1),
             ("pipeline.merge.side2", 1),
             ("pipeline.merge.side4", 1),
-            (spans::MERGE_SLICES, 1),
             (spans::MILP, 1),
         ],
         "span inventory drifted"

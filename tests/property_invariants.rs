@@ -228,8 +228,9 @@ fn subproblem_caches_do_not_change_the_mapping() {
 /// when both slices ask for it in the same batch. A 4x4x2 torus slices
 /// into two 4x4 planes; the workload is two disjoint copies of one random
 /// graph, one per plane, so the two slices ask for exactly the keys a
-/// one-slice run of a single copy asks for, and a one-slice run's batches
-/// hold one slice's jobs only.
+/// one-slice run of a single copy asks for, plus the one key of the
+/// machine-wide merge of the two slice blocks, and a one-slice run's
+/// batches hold one slice's jobs only.
 #[test]
 fn two_slice_caches_solve_each_key_once() {
     use rahtm_repro::obs::counters;
@@ -265,7 +266,7 @@ fn two_slice_caches_solve_each_key_once() {
     let first = traced(&two_slices, &both, RankGrid::new(&[4, 4, 2]));
     let [sub_misses, _, merge_misses, _, solved] = first;
     assert_eq!(sub_misses, one_slice[0], "sub-problem keys solved twice");
-    assert_eq!(merge_misses, one_slice[2], "merge keys solved twice");
+    assert_eq!(merge_misses, one_slice[2] + 1, "merge keys solved twice");
     assert_eq!(solved, sub_misses);
     for _ in 0..8 {
         assert_eq!(traced(&two_slices, &both, RankGrid::new(&[4, 4, 2])), first);
