@@ -10,7 +10,7 @@ use rahtm_bench::experiments::Scale;
 use rahtm_commgraph::Benchmark;
 use rahtm_core::anneal::{anneal_map, AnnealOptions};
 use rahtm_core::cluster::cluster_level;
-use rahtm_routing::{route_graph, Routing};
+use rahtm_routing::{mapping_mcl, Routing};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -35,7 +35,7 @@ fn main() {
         // default: node-cluster i -> node i (equivalent to ABCDET after
         // row-major tiling; report its MCL as the baseline)
         let ident: Vec<u32> = (0..g_node.num_ranks()).collect();
-        let default_mcl = route_graph(topo, g_node, &ident, Routing::UniformMinimal).mcl(topo);
+        let default_mcl = mapping_mcl(topo, g_node, &ident, Routing::UniformMinimal);
         let sa = anneal_map(
             topo,
             g_node,

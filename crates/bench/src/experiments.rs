@@ -210,7 +210,7 @@ pub fn run_fig8_fig10(scale: &Scale, mappings: &[MappingKind]) -> Vec<FigRow> {
                 exec_time: e.total,
                 comm_rel: e.comm / base_comm,
                 exec_rel: e.total / base_exec,
-                mcl: mapping_mcl(topo, &graph, &placement, Routing::UniformMinimal),
+                mcl: e.mcl,
                 hop_bytes: mapping_hop_bytes(topo, &graph, &placement),
                 map_secs,
             });

@@ -36,6 +36,9 @@ pub struct ExecutionBreakdown {
     pub comm: f64,
     /// Computation part (µs).
     pub comp: f64,
+    /// The mapping's MCL under the model's routing, as routed for the
+    /// communication part ([`crate::CommTimeBreakdown::mcl`]).
+    pub mcl: f64,
 }
 
 impl ExecutionBreakdown {
@@ -89,14 +92,14 @@ impl AppModel {
     ) -> ExecutionBreakdown {
         let comm_iter = self
             .comm_model
-            .comm_time(topo, graph, placement, self.routing)
-            .total();
-        let comm = comm_iter * self.iterations as f64;
+            .comm_time(topo, graph, placement, self.routing);
+        let comm = comm_iter.total() * self.iterations as f64;
         let comp = self.comp_time * self.iterations as f64;
         ExecutionBreakdown {
             total: comm + comp,
             comm,
             comp,
+            mcl: comm_iter.mcl,
         }
     }
 }

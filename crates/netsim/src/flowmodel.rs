@@ -8,7 +8,7 @@
 //! route) so latency-sensitive corner cases remain visible.
 
 use rahtm_commgraph::CommGraph;
-use rahtm_routing::{route_graph, Routing};
+use rahtm_routing::{placement_loads, Routing};
 use rahtm_topology::{NodeId, Torus};
 
 /// Link/software parameters of the modeled machine. Units are arbitrary
@@ -74,8 +74,7 @@ impl CommTimeModel {
         placement: &[NodeId],
         routing: Routing,
     ) -> CommTimeBreakdown {
-        let loads = route_graph(topo, graph, placement, routing);
-        let mcl = loads.mcl(topo);
+        let mcl = placement_loads(topo, graph, placement, routing).mcl(topo);
         // busiest rank's message count, busiest node's injected bytes
         let mut msgs = vec![0u32; graph.num_ranks() as usize];
         let mut injected = vec![0.0f64; topo.num_nodes() as usize];

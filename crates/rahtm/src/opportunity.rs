@@ -20,7 +20,7 @@
 
 use crate::mapping::TaskMapping;
 use rahtm_commgraph::CommGraph;
-use rahtm_routing::{route_graph, Routing};
+use rahtm_routing::{placement_loads, Routing};
 use rahtm_topology::BgqMachine;
 
 /// Assessment of how much a workload can gain from remapping.
@@ -65,7 +65,7 @@ pub fn assess(
     let topo = machine.torus();
     let default = TaskMapping::abcdet(machine, graph.num_ranks());
     let place = default.nodes();
-    let loads = route_graph(topo, graph, place, routing);
+    let loads = placement_loads(topo, graph, place, routing);
     let mcl = loads.mcl(topo);
     let mean = loads.mean_loaded(topo);
     let imbalance = if mean > 0.0 { mcl / mean } else { 1.0 };

@@ -331,6 +331,9 @@ impl RahtmMapper {
                 ));
             }
         }
+        if let Err(e) = machine.try_uniform_slices() {
+            problems.push(format!("machine cannot be cut into uniform slices: {e}"));
+        }
         if let Some(g) = grid {
             if g.num_ranks() != r {
                 problems.push(format!(
@@ -1403,6 +1406,27 @@ mod tests {
                 assert_eq!(problems.len(), 2, "{problems:?}");
             }
             other => panic!("expected InvalidInput, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_dividing_slice_side_is_a_typed_error() {
+        // 2x3: the slice side 2 (the only power-of-two extent) does not
+        // divide 3; with 7 ranks on 6 nodes both problems come back at once
+        let machine = BgqMachine::new(Torus::torus(&[2, 3]), 6, 6);
+        let mapper = RahtmMapper::new(RahtmConfig::fast());
+        for (ranks, expect) in [(36, 1), (7, 2)] {
+            let g = patterns::ring(ranks, 1.0);
+            match mapper.run(&machine, &g, None).unwrap_err() {
+                RahtmError::InvalidInput { problems } => {
+                    assert_eq!(problems.len(), expect, "{problems:?}");
+                    assert!(
+                        problems.iter().any(|p| p.contains("does not divide extent 3")),
+                        "{problems:?}"
+                    );
+                }
+                other => panic!("expected InvalidInput, got {other:?}"),
+            }
         }
     }
 

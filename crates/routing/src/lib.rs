@@ -19,7 +19,15 @@
 //! * [`adaptive`] — an LP lower bound: the best possible minimal-path split
 //!   (idealized adaptivity), built on `rahtm-lp`; used for small-scale
 //!   validation of the combinatorial model.
-//! * [`metrics`] — MCL, hop-bytes and friends for whole mappings.
+//! * [`metrics`] — MCL, hop-bytes and friends for whole mappings, scored
+//!   through a call-local [`RouteStencilCache`] ([`placement_loads`]).
+//! * [`RouteStencilCache`] — per-displacement-class memoized routing, the
+//!   fast path of every whole-mapping score and of the mapper's hot loops.
+//!
+//! The direct enumerators [`route_flow`] and [`route_graph`] are the
+//! reference implementation: the stencil cache replays their entries in
+//! the same add order, and the tests compare the two bit for bit. No
+//! scoring path calls them.
 
 #![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops mirror the paper's math notation
@@ -34,6 +42,6 @@ pub mod stencil;
 
 pub use incremental::IncrementalLoads;
 pub use load::ChannelLoads;
-pub use metrics::{mapping_hop_bytes, mapping_mcl, MappingEval};
+pub use metrics::{mapping_hop_bytes, mapping_mcl, placement_loads, MappingEval};
 pub use oblivious::{route_flow, route_graph, Routing};
 pub use stencil::RouteStencilCache;

@@ -3,9 +3,15 @@
 //! Wraps the per-flow load models into the quantities the paper reports:
 //! MCL (the optimization objective), hop-bytes (the routing-unaware
 //! comparator of §III-A), and summary load statistics.
+//!
+//! Every whole-mapping score routes through [`placement_loads`], which
+//! replays the flows through a call-local [`RouteStencilCache`]. The
+//! direct enumerator [`crate::route_graph`] is the reference those loads
+//! are tested against, bit for bit; no scoring path calls it.
 
 use crate::load::ChannelLoads;
-use crate::oblivious::{route_graph, Routing};
+use crate::oblivious::Routing;
+use crate::stencil::RouteStencilCache;
 use rahtm_commgraph::CommGraph;
 use rahtm_topology::{NodeId, Torus};
 
@@ -22,6 +28,22 @@ pub struct MappingEval {
     pub mean_load: f64,
 }
 
+/// Channel loads of `graph` placed by `placement` on `topo` under
+/// `routing`, routed through a fresh [`RouteStencilCache`]: bit-identical
+/// to [`crate::route_graph`] (same values, same add order), but each
+/// displacement class is enumerated once instead of once per flow.
+///
+/// # Panics
+/// Panics if `placement.len() != graph.num_ranks()`.
+pub fn placement_loads(
+    topo: &Torus,
+    graph: &CommGraph,
+    placement: &[NodeId],
+    routing: Routing,
+) -> ChannelLoads {
+    RouteStencilCache::new(topo).route_graph(topo, graph, placement, routing)
+}
+
 /// MCL of `graph` placed by `placement` on `topo` under `routing`.
 pub fn mapping_mcl(
     topo: &Torus,
@@ -29,7 +51,7 @@ pub fn mapping_mcl(
     placement: &[NodeId],
     routing: Routing,
 ) -> f64 {
-    route_graph(topo, graph, placement, routing).mcl(topo)
+    placement_loads(topo, graph, placement, routing).mcl(topo)
 }
 
 /// Hop-bytes of `graph` under `placement` (minimal distances).
@@ -44,7 +66,7 @@ pub fn evaluate(
     placement: &[NodeId],
     routing: Routing,
 ) -> MappingEval {
-    let loads: ChannelLoads = route_graph(topo, graph, placement, routing);
+    let loads = placement_loads(topo, graph, placement, routing);
     MappingEval {
         mcl: loads.mcl(topo),
         hop_bytes: mapping_hop_bytes(topo, graph, placement),

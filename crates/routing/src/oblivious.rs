@@ -199,6 +199,11 @@ pub fn route_flow(
 /// returns the accumulated channel loads. Flows between ranks placed on
 /// the same node stay on-node and contribute nothing.
 ///
+/// This is the reference router: it enumerates every flow's paths from
+/// scratch. Scoring goes through [`crate::metrics::placement_loads`] or a
+/// [`crate::RouteStencilCache`], which are tested against this function
+/// bit for bit.
+///
 /// # Panics
 /// Panics if `placement.len() != graph.num_ranks()`.
 pub fn route_graph(

@@ -89,22 +89,25 @@ impl BgqMachine {
     /// and smaller dimensions into unit chunks, so each slice has extents in
     /// `{side, 1}`.
     ///
+    /// # Errors
+    /// Names the first extent ≥ `side` that `side` does not divide.
+    ///
     /// # Panics
-    /// Panics if `side` does not divide every extent ≥ `side`.
-    pub fn uniform_slices_with_side(&self, side: u16) -> Vec<SubCube> {
+    /// Panics if `side` is 0.
+    pub fn uniform_slices_with_side(&self, side: u16) -> Result<Vec<SubCube>, String> {
         assert!(side >= 1);
         let n = self.torus.ndims();
-        let chunks: Vec<u16> = (0..n)
-            .map(|d| {
-                let k = self.torus.dim(d);
-                if k >= side {
-                    assert!(k.is_multiple_of(side), "side {side} does not divide extent {k}");
-                    k / side
-                } else {
-                    k
-                }
-            })
-            .collect();
+        let mut chunks = Vec::with_capacity(n);
+        for d in 0..n {
+            let k = self.torus.dim(d);
+            chunks.push(if k < side {
+                k
+            } else if k.is_multiple_of(side) {
+                k / side
+            } else {
+                return Err(format!("side {side} does not divide extent {k}"));
+            });
+        }
         let mut slices = Vec::new();
         let counter = Torus::mesh(&chunks);
         for idx in counter.nodes() {
@@ -125,14 +128,28 @@ impl BgqMachine {
             sc.validate(&self.torus);
             slices.push(sc);
         }
-        slices
+        Ok(slices)
     }
 
     /// Slices the torus into uniform sub-tori, choosing the side
     /// automatically as the most common power-of-two extent (ties broken
     /// toward the larger side). For Mira's 4×4×4×4×2 this selects side 4 and
     /// returns the two 4×4×4×4 E-slices, matching the paper.
+    ///
+    /// # Panics
+    /// Panics if the chosen side does not divide every extent ≥ it
+    /// ([`Self::try_uniform_slices`] reports that as an error).
     pub fn uniform_slices(&self) -> Vec<SubCube> {
+        self.try_uniform_slices().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::uniform_slices`], reporting a machine that the chosen side
+    /// cannot cut uniformly (e.g. 2×3: side 2 does not divide 3) as an
+    /// error instead of a panic.
+    ///
+    /// # Errors
+    /// Names the first extent that the chosen side does not divide.
+    pub fn try_uniform_slices(&self) -> Result<Vec<SubCube>, String> {
         let mut counts = std::collections::BTreeMap::new();
         for d in 0..self.torus.ndims() {
             let k = self.torus.dim(d);
@@ -191,9 +208,18 @@ mod tests {
     #[test]
     fn explicit_side_two() {
         let m = BgqMachine::mira_512();
-        let slices = m.uniform_slices_with_side(2);
+        let slices = m.uniform_slices_with_side(2).unwrap();
         assert_eq!(slices.len(), 16); // (4/2)^4 * (2/2) = 16 slices of 2^5
         assert!(slices.iter().all(|s| s.len() == 32));
+    }
+
+    #[test]
+    fn non_dividing_side_is_an_error() {
+        // 2x3: the most common power-of-two extent is 2, which does not
+        // divide 3
+        let m = BgqMachine::new(Torus::torus(&[2, 3]), 6, 6);
+        let err = m.try_uniform_slices().unwrap_err();
+        assert_eq!(err, "side 2 does not divide extent 3");
     }
 
     #[test]

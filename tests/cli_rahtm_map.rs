@@ -169,6 +169,30 @@ fn all_input_problems_reported_in_one_invocation() {
 }
 
 #[test]
+fn non_dividing_slice_side_is_invalid_input() {
+    // 2x3: the slice side 2 does not divide the extent 3, which the mapper
+    // reports as invalid input instead of panicking
+    let output = bin()
+        .args([
+            "--benchmark",
+            "BT",
+            "--ranks",
+            "36",
+            "--machine",
+            "2x3",
+            "--cores",
+            "6",
+            "--fast",
+        ])
+        .output()
+        .expect("binary runs");
+    assert_eq!(output.status.code(), Some(3), "invalid input: {output:?}");
+    let err = String::from_utf8_lossy(&output.stderr);
+    assert!(err.contains("side 2 does not divide extent 3"), "{err}");
+    assert!(!err.contains("panicked"), "no backtrace for user errors: {err}");
+}
+
+#[test]
 fn missing_profile_is_io_error() {
     let output = bin()
         .args([
