@@ -83,7 +83,9 @@ pub fn random_mapping(machine: &BgqMachine, num_ranks: u32, seed: u64) -> Vec<No
     assert!(num_ranks.is_multiple_of(nodes));
     let conc = num_ranks / nodes;
     assert!(conc <= machine.concentration());
-    let mut slots: Vec<NodeId> = (0..nodes).flat_map(|n| std::iter::repeat_n(n, conc as usize)).collect();
+    let mut slots: Vec<NodeId> = (0..nodes)
+        .flat_map(|n| std::iter::repeat_n(n, conc as usize))
+        .collect();
     let mut rng = StdRng::seed_from_u64(seed);
     slots.shuffle(&mut rng);
     slots
@@ -165,8 +167,7 @@ mod tests {
             rahtm_routing::mapping_mcl(m.torus(), &g, &greedy, Routing::UniformMinimal);
         // diagonal placement
         let diag = vec![0u32, 3, 1, 2];
-        let mcl_diag =
-            rahtm_routing::mapping_mcl(m.torus(), &g, &diag, Routing::UniformMinimal);
+        let mcl_diag = rahtm_routing::mapping_mcl(m.torus(), &g, &diag, Routing::UniformMinimal);
         assert!(mcl_diag < mcl_greedy);
     }
 }

@@ -117,10 +117,7 @@ mod tests {
         assert_eq!(set.len(), 16);
         // pure 2-D Hilbert: consecutive ranks adjacent
         for w in map.windows(2) {
-            assert_eq!(
-                m.torus().coord(w[0]).l1_mesh(&m.torus().coord(w[1])),
-                1
-            );
+            assert_eq!(m.torus().coord(w[0]).l1_mesh(&m.torus().coord(w[1])), 1);
         }
     }
 }

@@ -108,8 +108,7 @@ impl MappingKind {
 
     /// The paper's Figure 8/10 line-up (default order first, RAHTM last).
     pub fn paper_lineup(scale: &Scale, rahtm: RahtmConfig) -> Vec<MappingKind> {
-        let mut v: Vec<MappingKind> =
-            (0..scale.orders.len()).map(MappingKind::Order).collect();
+        let mut v: Vec<MappingKind> = (0..scale.orders.len()).map(MappingKind::Order).collect();
         v.push(MappingKind::Hilbert);
         v.push(MappingKind::Rht);
         v.push(MappingKind::Rahtm(Box::new(rahtm)));
@@ -241,8 +240,7 @@ pub fn run_fig9(scale: &Scale) -> Vec<Fig9Row> {
             let spec = bench.spec(scale.ranks);
             let graph = spec.comm_graph();
             let grid = spec.grid.clone();
-            let default_map =
-                compute_mapping(&MappingKind::Order(0), scale, bench, &graph, &grid);
+            let default_map = compute_mapping(&MappingKind::Order(0), scale, bench, &graph, &grid);
             let app = AppModel::calibrated(
                 topo,
                 &graph,
@@ -317,11 +315,8 @@ pub fn run_opt_time(scale: &Scale, cfg: &RahtmConfig) -> Vec<OptTimeRow> {
             let spec = bench.spec(scale.ranks);
             let graph = spec.comm_graph();
             let t0 = Instant::now();
-            let res = RahtmMapper::new(cfg.clone()).map(
-                &scale.machine,
-                &graph,
-                Some(spec.grid.clone()),
-            );
+            let res =
+                RahtmMapper::new(cfg.clone()).map(&scale.machine, &graph, Some(spec.grid.clone()));
             let total = t0.elapsed().as_secs_f64();
             OptTimeRow {
                 bench: bench.name(),

@@ -60,7 +60,10 @@ pub fn compose_assignments(first: &[Rank], second: &[Rank]) -> Vec<Rank> {
     first
         .iter()
         .map(|&mid| {
-            assert!((mid as usize) < second.len(), "assignment composition mismatch");
+            assert!(
+                (mid as usize) < second.len(),
+                "assignment composition mismatch"
+            );
             second[mid as usize]
         })
         .collect()

@@ -75,9 +75,18 @@ impl Profile {
             .collect();
         let doc = Value::Object(vec![
             ("name".to_string(), Value::String(self.name.clone())),
-            ("num_ranks".to_string(), Value::Number(self.num_ranks as f64)),
-            ("comm_fraction".to_string(), Value::Number(self.comm_fraction)),
-            ("iterations".to_string(), Value::Number(self.iterations as f64)),
+            (
+                "num_ranks".to_string(),
+                Value::Number(self.num_ranks as f64),
+            ),
+            (
+                "comm_fraction".to_string(),
+                Value::Number(self.comm_fraction),
+            ),
+            (
+                "iterations".to_string(),
+                Value::Number(self.iterations as f64),
+            ),
             ("flows".to_string(), Value::Array(flows)),
         ]);
         serde_json::to_string_pretty(&doc)

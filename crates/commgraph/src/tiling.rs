@@ -161,8 +161,7 @@ impl RankGrid {
         (0..self.num_ranks())
             .map(|r| {
                 let cell = self.cell_of(r);
-                let tile_cell: Vec<u32> =
-                    cell.iter().zip(shape).map(|(&c, &t)| c / t).collect();
+                let tile_cell: Vec<u32> = cell.iter().zip(shape).map(|(&c, &t)| c / t).collect();
                 tiles_grid.rank_of(&tile_cell)
             })
             .collect()
@@ -227,10 +226,7 @@ mod tests {
         // Figure 2: an 8-cell tile in a 2-D grid searches 8x1, 4x2, 2x4, 1x8
         let g = RankGrid::new(&[8, 8]);
         let shapes = g.tile_shapes(8);
-        assert_eq!(
-            shapes,
-            vec![vec![1, 8], vec![2, 4], vec![4, 2], vec![8, 1]]
-        );
+        assert_eq!(shapes, vec![vec![1, 8], vec![2, 4], vec![4, 2], vec![8, 1]]);
     }
 
     #[test]

@@ -286,7 +286,11 @@ mod tests {
         assert_eq!(r.packets, 1);
         assert_eq!(r.total_hops, 3);
         let expect = 3.0 * (512.0 / 2000.0 + cfg.hop_latency);
-        assert!((r.makespan - expect).abs() < 1e-9, "{} vs {expect}", r.makespan);
+        assert!(
+            (r.makespan - expect).abs() < 1e-9,
+            "{} vs {expect}",
+            r.makespan
+        );
     }
 
     #[test]
@@ -309,7 +313,12 @@ mod tests {
         g2.add(2, 3, 5120.0);
         let r1 = simulate_phase(&topo, &g1, &[0, 1], &DesConfig::default());
         let r2 = simulate_phase(&topo, &g2, &[0, 1, 0, 1], &DesConfig::default());
-        assert!(r2.makespan > r1.makespan * 1.5, "{} vs {}", r2.makespan, r1.makespan);
+        assert!(
+            r2.makespan > r1.makespan * 1.5,
+            "{} vs {}",
+            r2.makespan,
+            r1.makespan
+        );
     }
 
     #[test]

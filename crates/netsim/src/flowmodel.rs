@@ -152,15 +152,11 @@ mod tests {
         let model = CommTimeModel::default();
         let place: Vec<u32> = (0..8).collect();
         let b = model.comm_time(&topo, &g, &place, Routing::UniformMinimal);
-        assert!(
-            (b.injection_term - 700_000.0 / model.injection_bandwidth).abs() < 1e-9
-        );
+        assert!((b.injection_term - 700_000.0 / model.injection_bandwidth).abs() < 1e-9);
         // total uses the max of the two serialization bottlenecks
         assert!(
             (b.total()
-                - (b.bandwidth_term.max(b.injection_term)
-                    + b.overhead_term
-                    + b.latency_term))
+                - (b.bandwidth_term.max(b.injection_term) + b.overhead_term + b.latency_term))
                 .abs()
                 < 1e-12
         );
@@ -174,8 +170,6 @@ mod tests {
         let place: Vec<u32> = (0..16).collect();
         let b = model.comm_time(&topo, &g, &place, Routing::DimOrder);
         assert!(b.bandwidth_term > 0.0 && b.overhead_term > 0.0 && b.latency_term > 0.0);
-        assert!(
-            (b.total() - (b.bandwidth_term + b.overhead_term + b.latency_term)).abs() < 1e-12
-        );
+        assert!((b.total() - (b.bandwidth_term + b.overhead_term + b.latency_term)).abs() < 1e-12);
     }
 }

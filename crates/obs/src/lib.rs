@@ -430,7 +430,12 @@ impl Journal {
     pub fn to_json(&self) -> serde_json::Value {
         use serde_json::Value;
         let obj = |fields: Vec<(&str, Value)>| {
-            Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+            Value::Object(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect(),
+            )
         };
         let name = |n: &str| ("name", Value::String(n.to_string()));
         let spans = self.spans.iter().map(|s| {
@@ -440,10 +445,12 @@ impl Journal {
                 ("secs", Value::Number(s.secs)),
             ])
         });
-        let counters = self
-            .counters
-            .iter()
-            .map(|c| obj(vec![name(&c.name), ("value", Value::Number(c.value as f64))]));
+        let counters = self.counters.iter().map(|c| {
+            obj(vec![
+                name(&c.name),
+                ("value", Value::Number(c.value as f64)),
+            ])
+        });
         let gauges = self.gauges.iter().map(|g| {
             let values = g.values.iter().map(|&v| Value::Number(v)).collect();
             obj(vec![name(&g.name), ("values", Value::Array(values))])
@@ -515,7 +522,8 @@ impl Journal {
             });
         }
         for e in section("events")? {
-            j.events.push(e.as_str().ok_or("non-string event")?.to_string());
+            j.events
+                .push(e.as_str().ok_or("non-string event")?.to_string());
         }
         Ok(j)
     }

@@ -121,7 +121,12 @@ mod tests {
         // 2x2 block, 90° turn: (x,y) -> (y, 1-x)
         let b = Block {
             extent: c(&[2, 2]),
-            members: vec![(0, c(&[0, 0])), (1, c(&[0, 1])), (2, c(&[1, 0])), (3, c(&[1, 1]))],
+            members: vec![
+                (0, c(&[0, 0])),
+                (1, c(&[0, 1])),
+                (2, c(&[1, 0])),
+                (3, c(&[1, 1])),
+            ],
         };
         let rot = Orientation::new(&[1, 0], 0b10);
         let r = b.reoriented(&rot);
@@ -171,18 +176,12 @@ mod tests {
         let b = Block {
             extent: c(&[2, 2, 2]),
             members: (0..8)
-                .map(|i| {
-                    (
-                        i as u32,
-                        c(&[(i >> 2) & 1, (i >> 1) & 1, i & 1]),
-                    )
-                })
+                .map(|i| (i as u32, c(&[(i >> 2) & 1, (i >> 1) & 1, i & 1])))
                 .collect(),
         };
         for o in Orientation::enumerate(3) {
             let r = b.reoriented(&o);
-            let coords: std::collections::HashSet<_> =
-                r.members.iter().map(|&(_, x)| x).collect();
+            let coords: std::collections::HashSet<_> = r.members.iter().map(|&(_, x)| x).collect();
             assert_eq!(coords.len(), 8, "orientation must stay bijective");
         }
     }

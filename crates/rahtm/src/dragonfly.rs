@@ -337,7 +337,12 @@ mod tests {
             let grid = random_grid(&mut rng, r);
             let m = dragonfly_map(&df, &g, &grid);
             let reference = reference_dragonfly_map(&df, &g, &grid);
-            assert_eq!(m.node_of, reference, "case {case}: {df:?}, grid {:?}", grid.dims());
+            assert_eq!(
+                m.node_of,
+                reference,
+                "case {case}: {df:?}, grid {:?}",
+                grid.dims()
+            );
         }
     }
 

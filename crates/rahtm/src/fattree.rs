@@ -173,7 +173,10 @@ pub struct FatTreeMapping {
 pub fn fattree_map(tree: &FatTree, graph: &CommGraph, grid: &RankGrid) -> FatTreeMapping {
     let r = graph.num_ranks();
     let leaves = tree.num_leaves();
-    assert!(r >= leaves && r.is_multiple_of(leaves), "ranks must fill leaves");
+    assert!(
+        r >= leaves && r.is_multiple_of(leaves),
+        "ranks must fill leaves"
+    );
     assert_eq!(grid.num_ranks(), r);
     let (leaf_of, shapes) = number_leaves(graph, grid, r / leaves, &tree.arity);
     let mcl = tree.mcl(graph, &leaf_of);
@@ -220,13 +223,20 @@ pub(crate) fn number_leaves(
             .iter()
             .map(|&p| {
                 let slot = next_slot[p as usize];
-                assert!(slot < arity, "cluster {p} over-filled (partition must be balanced)");
+                assert!(
+                    slot < arity,
+                    "cluster {p} over-filled (partition must be balanced)"
+                );
                 next_slot[p as usize] += 1;
                 number[p as usize] * arity + slot
             })
             .collect();
     }
-    let leaf_of = base.assignment.iter().map(|&c| number[c as usize]).collect();
+    let leaf_of = base
+        .assignment
+        .iter()
+        .map(|&c| number[c as usize])
+        .collect();
     (leaf_of, shapes)
 }
 
@@ -390,7 +400,10 @@ pub(crate) mod tests {
             }
         }
         siblings.sort_unstable();
-        siblings.iter().position(|&c| c == cluster).map_or(0, |i| i as u32)
+        siblings
+            .iter()
+            .position(|&c| c == cluster)
+            .map_or(0, |i| i as u32)
     }
 
     /// A random rank grid of `r` ranks: one, two or three dims.
@@ -420,7 +433,12 @@ pub(crate) mod tests {
             let grid = random_grid(&mut rng, r);
             let m = fattree_map(&tree, &g, &grid);
             let (leaf_of, shapes) = reference_fattree_map(&tree, &g, &grid);
-            assert_eq!(m.leaf_of, leaf_of, "case {case}: {arity:?}, grid {:?}", grid.dims());
+            assert_eq!(
+                m.leaf_of,
+                leaf_of,
+                "case {case}: {arity:?}, grid {:?}",
+                grid.dims()
+            );
             assert_eq!(m.shapes, shapes, "case {case}");
         }
     }

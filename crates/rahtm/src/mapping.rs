@@ -33,10 +33,7 @@ impl TaskMapping {
         for &n in &node_of {
             assert!(n < nodes, "node id {n} out of range");
             let s = next_slot[n as usize];
-            assert!(
-                s < cap,
-                "node {n} over-subscribed (> concentration {cap})"
-            );
+            assert!(s < cap, "node {n} over-subscribed (> concentration {cap})");
             slot_of.push(s);
             next_slot[n as usize] = s + 1;
         }

@@ -162,11 +162,7 @@ type Ranked = (f64, usize, usize);
 /// Sorts candidates by MCL, ties broken by index, so the ranking does not
 /// depend on the order the workers returned them in.
 fn sort_ranked(ranked: &mut [Ranked]) {
-    ranked.sort_by(|x, y| {
-        x.0.total_cmp(&y.0)
-            .then(x.1.cmp(&y.1))
-            .then(x.2.cmp(&y.2))
-    });
+    ranked.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2)));
 }
 
 /// Merges positioned child blocks inside the parent region
@@ -209,7 +205,10 @@ pub(crate) fn merge_within(
         parent_origin,
         parent_extent,
         opts,
-        Shortcuts { quotient: true, bound: true },
+        Shortcuts {
+            quotient: true,
+            bound: true,
+        },
         cores,
     )
 }
@@ -240,7 +239,10 @@ fn merge_with(
     let local_cache;
     let stencils: &RouteStencilCache = match &opts.stencils {
         Some(c) => {
-            debug_assert!(c.matches(topo), "stencil cache bound to a different topology");
+            debug_assert!(
+                c.matches(topo),
+                "stencil cache bound to a different topology"
+            );
             c
         }
         None => {
@@ -261,7 +263,14 @@ fn merge_with(
                 .map(|c| (c.block.clone(), c.origin))
                 .collect::<Vec<_>>(),
         );
-        let mcl = block_mcl(topo, graph, &composed, parent_origin, opts.routing, stencils);
+        let mcl = block_mcl(
+            topo,
+            graph,
+            &composed,
+            parent_origin,
+            opts.routing,
+            stencils,
+        );
         opts.recorder.incr(counters::DEADLINE_CHECKS);
         if expired_on_entry {
             opts.recorder.incr(counters::DEGRADE_IDENTITY_MERGES);
@@ -347,7 +356,11 @@ fn merge_with(
         .map(|oa| {
             let mut choices = vec![UNSET; children.len()];
             choices[a] = oa;
-            BeamEntry { choices, loads: None, mcl: 0.0 }
+            BeamEntry {
+                choices,
+                loads: None,
+                mcl: 0.0,
+            }
         })
         .collect();
     let mut placed: Vec<usize> = vec![a];
@@ -416,9 +429,9 @@ fn merge_with(
         // An orbit's representative is its least candidate index, so a
         // worker meets it before the rest of its orbit.
         let rep_of = |i: usize| {
-            reflections
-                .iter()
-                .fold(i, |r, [ga, gb]| r.min(ga[i / n_orient] * n_orient + gb[i % n_orient]))
+            reflections.iter().fold(i, |r, [ga, gb]| {
+                r.min(ga[i / n_orient] * n_orient + gb[i % n_orient])
+            })
         };
         // The step scores its orbit representatives in chunks, a wave of
         // chunks at a time. A chunk's size depends only on the
@@ -575,7 +588,11 @@ fn merge_with(
             let mcl = loads.mcl(topo);
             let mut choices = entry.choices.clone();
             choices[next] = oi;
-            new_beam.push(BeamEntry { choices, loads: Some(loads), mcl });
+            new_beam.push(BeamEntry {
+                choices,
+                loads: Some(loads),
+                mcl,
+            });
         }
         candidates_kept += new_beam.len();
         let evicted = std::mem::replace(&mut beam, new_beam);
@@ -621,16 +638,26 @@ fn merge_with(
     );
     // a deadline-cut search composed children its beam never scored, so
     // recompute the MCL of what was actually built
-    let mcl = block_mcl(topo, graph, &composed, parent_origin, opts.routing, stencils);
-    opts.recorder
-        .add(counters::MERGE_CANDIDATES_EVALUATED, candidates_evaluated as u64);
+    let mcl = block_mcl(
+        topo,
+        graph,
+        &composed,
+        parent_origin,
+        opts.routing,
+        stencils,
+    );
+    opts.recorder.add(
+        counters::MERGE_CANDIDATES_EVALUATED,
+        candidates_evaluated as u64,
+    );
     opts.recorder
         .add(counters::MERGE_CANDIDATES_KEPT, candidates_kept as u64);
     opts.recorder
         .add(counters::MERGE_CANDIDATES_PRUNED, candidates_pruned as u64);
     opts.recorder
         .add(counters::MERGE_SYMMETRY_SKIPPED, symmetry_skipped as u64);
-    opts.recorder.add(counters::DEADLINE_CHECKS, deadline_polls as u64);
+    opts.recorder
+        .add(counters::DEADLINE_CHECKS, deadline_polls as u64);
     if deadline_hit {
         opts.recorder.incr(counters::DEGRADE_IDENTITY_MERGES);
     }
@@ -855,8 +882,14 @@ mod tests {
             members: vec![(3, c(&[0, 0])), (2, c(&[1, 0]))],
         };
         let children = vec![
-            PositionedBlock { block: block_a, origin: c(&[0, 0]) },
-            PositionedBlock { block: block_b, origin: c(&[0, 1]) },
+            PositionedBlock {
+                block: block_a,
+                origin: c(&[0, 0]),
+            },
+            PositionedBlock {
+                block: block_b,
+                origin: c(&[0, 1]),
+            },
         ];
         let r = merge_blocks(
             &topo,
@@ -867,8 +900,7 @@ mod tests {
             &MergeOptions::default(),
         );
         // find final positions
-        let pos: std::collections::HashMap<_, _> =
-            r.block.members.iter().cloned().collect();
+        let pos: std::collections::HashMap<_, _> = r.block.members.iter().cloned().collect();
         let d = pos[&0].l1_mesh(&pos[&2]);
         assert_eq!(d, 2, "heavy pair must end up diagonal: {:?}", r.block);
         // MCL: 50 from the split heavy flow (plus nothing overlapping)
@@ -927,7 +959,10 @@ mod tests {
             &children,
             &c(&[0, 0]),
             &c(&[4, 4]),
-            &MergeOptions { beam_width: 1, ..Default::default() },
+            &MergeOptions {
+                beam_width: 1,
+                ..Default::default()
+            },
         );
         let wide = merge_blocks(
             &topo,
@@ -935,9 +970,17 @@ mod tests {
             &children,
             &c(&[0, 0]),
             &c(&[4, 4]),
-            &MergeOptions { beam_width: 64, ..Default::default() },
+            &MergeOptions {
+                beam_width: 64,
+                ..Default::default()
+            },
         );
-        assert!(wide.mcl <= narrow.mcl + 1e-9, "wide {} narrow {}", wide.mcl, narrow.mcl);
+        assert!(
+            wide.mcl <= narrow.mcl + 1e-9,
+            "wide {} narrow {}",
+            wide.mcl,
+            narrow.mcl
+        );
     }
 
     #[test]
@@ -998,7 +1041,14 @@ mod tests {
             &MergeOptions::default(),
         );
         let cache = RouteStencilCache::new(&topo);
-        let check = block_mcl(&topo, &g, &r.block, &c(&[0, 0]), Routing::UniformMinimal, &cache);
+        let check = block_mcl(
+            &topo,
+            &g,
+            &r.block,
+            &c(&[0, 0]),
+            Routing::UniformMinimal,
+            &cache,
+        );
         assert!((r.mcl - check).abs() < 1e-9);
     }
 
@@ -1074,12 +1124,23 @@ mod tests {
         );
         assert!(r.deadline_hit, "expired deadline must be reported");
         assert_eq!(r.candidates_evaluated, 0, "no search under a dead clock");
-        assert_eq!(r.block.members.len(), 8, "composition must still be complete");
+        assert_eq!(
+            r.block.members.len(),
+            8,
+            "composition must still be complete"
+        );
         let coords: std::collections::HashSet<_> =
             r.block.members.iter().map(|&(_, x)| x).collect();
         assert_eq!(coords.len(), 8);
         let cache = RouteStencilCache::new(&topo);
-        let check = block_mcl(&topo, &g, &r.block, &c(&[0, 0]), Routing::UniformMinimal, &cache);
+        let check = block_mcl(
+            &topo,
+            &g,
+            &r.block,
+            &c(&[0, 0]),
+            Routing::UniformMinimal,
+            &cache,
+        );
         assert!((r.mcl - check).abs() < 1e-9);
     }
 
@@ -1107,7 +1168,14 @@ mod tests {
         );
         assert_eq!(r.block.members.len(), 6);
         let cache = RouteStencilCache::new(&topo);
-        let check = block_mcl(&topo, &g, &r.block, &c(&[0, 0]), Routing::UniformMinimal, &cache);
+        let check = block_mcl(
+            &topo,
+            &g,
+            &r.block,
+            &c(&[0, 0]),
+            Routing::UniformMinimal,
+            &cache,
+        );
         assert!(
             (r.mcl - check).abs() < 1e-9,
             "incremental mcl {} vs recomputed {}",
@@ -1144,7 +1212,14 @@ mod tests {
         let topo = Torus::mesh(&[4, 4]);
         let g = patterns::random(16, 40, 1.0, 10.0, 11);
         let children = quadrant_children();
-        let private = merge_blocks(&topo, &g, &children, &c(&[0, 0]), &c(&[4, 4]), &MergeOptions::default());
+        let private = merge_blocks(
+            &topo,
+            &g,
+            &children,
+            &c(&[0, 0]),
+            &c(&[4, 4]),
+            &MergeOptions::default(),
+        );
         let shared = Arc::new(RouteStencilCache::new(&topo));
         let cached = merge_blocks(
             &topo,
@@ -1152,7 +1227,10 @@ mod tests {
             &children,
             &c(&[0, 0]),
             &c(&[4, 4]),
-            &MergeOptions { stencils: Some(Arc::clone(&shared)), ..Default::default() },
+            &MergeOptions {
+                stencils: Some(Arc::clone(&shared)),
+                ..Default::default()
+            },
         );
         assert_eq!(private.mcl, cached.mcl);
         assert_eq!(private.block.members, cached.block.members);
@@ -1164,7 +1242,10 @@ mod tests {
             &children,
             &c(&[0, 0]),
             &c(&[4, 4]),
-            &MergeOptions { stencils: Some(shared), ..Default::default() },
+            &MergeOptions {
+                stencils: Some(shared),
+                ..Default::default()
+            },
         );
         assert_eq!(private.mcl, rerun.mcl);
         assert_eq!(private.block.members, rerun.block.members);
@@ -1220,10 +1301,22 @@ mod tests {
         parent_extent: Coord,
     }
 
-    const FULL: Shortcuts = Shortcuts { quotient: false, bound: false };
-    const QUOTIENT: Shortcuts = Shortcuts { quotient: true, bound: false };
-    const BOUND: Shortcuts = Shortcuts { quotient: false, bound: true };
-    const BOTH: Shortcuts = Shortcuts { quotient: true, bound: true };
+    const FULL: Shortcuts = Shortcuts {
+        quotient: false,
+        bound: false,
+    };
+    const QUOTIENT: Shortcuts = Shortcuts {
+        quotient: true,
+        bound: false,
+    };
+    const BOUND: Shortcuts = Shortcuts {
+        quotient: false,
+        bound: true,
+    };
+    const BOTH: Shortcuts = Shortcuts {
+        quotient: true,
+        bound: true,
+    };
 
     impl Case {
         /// The merge on a budget of `cores` cores.
@@ -1293,7 +1386,10 @@ mod tests {
         fn assert_bound_exact(&self, opts: &MergeOptions) -> usize {
             self.assert_matches_full(opts, BOUND);
             let both = self.assert_matches_full(opts, BOTH);
-            assert_eq!(both.symmetry_skipped, self.merge(opts, QUOTIENT, 1).symmetry_skipped);
+            assert_eq!(
+                both.symmetry_skipped,
+                self.merge(opts, QUOTIENT, 1).symmetry_skipped
+            );
             both.candidates_pruned
         }
     }
@@ -1316,9 +1412,17 @@ mod tests {
             let (mut non_flat, mut children) = (0, 1);
             for _ in 0..n {
                 let k: u16 = rng.gen_range(1..5);
-                let e: u16 = if non_flat < 3 { rng.gen_range(1..k + 1) } else { 1 };
+                let e: u16 = if non_flat < 3 {
+                    rng.gen_range(1..k + 1)
+                } else {
+                    1
+                };
                 non_flat += usize::from(e > 1);
-                let m: u16 = if 2 * e <= k && children < 8 && rng.gen_bool(0.7) { 2 } else { 1 };
+                let m: u16 = if 2 * e <= k && children < 8 && rng.gen_bool(0.7) {
+                    2
+                } else {
+                    1
+                };
                 children *= usize::from(m);
                 dims.push(k);
                 wraps.push(rng.gen_bool(0.5));
@@ -1356,7 +1460,10 @@ mod tests {
                         (id, local)
                     })
                     .collect();
-                PositionedBlock { block: Block { extent, members }, origin: child_origin }
+                PositionedBlock {
+                    block: Block { extent, members },
+                    origin: child_origin,
+                }
             })
             .collect();
         let clusters = ids.len() as u32;
@@ -1475,10 +1582,20 @@ mod tests {
             parent_origin: c(&[0, 0, 0]),
             parent_extent: c(&[4, 4, 4]),
         };
-        assert!(48 * 48 > (1 + WAVE) * chunk_len(1), "two waves cover the first step");
+        assert!(
+            48 * 48 > (1 + WAVE) * chunk_len(1),
+            "two waves cover the first step"
+        );
         for routing in [Routing::UniformMinimal, Routing::DimOrder] {
-            let opts = MergeOptions { beam_width: 1, routing, ..Default::default() };
-            assert!(case.assert_bound_exact(&opts) > 0, "the cut line never fired");
+            let opts = MergeOptions {
+                beam_width: 1,
+                routing,
+                ..Default::default()
+            };
+            assert!(
+                case.assert_bound_exact(&opts) > 0,
+                "the cut line never fired"
+            );
         }
     }
 
@@ -1495,7 +1612,10 @@ mod tests {
                 members: (0..8u16)
                     .map(|i| {
                         let cell = i * 3 % 8;
-                        (2 * Rank::from(i) + parity, c(&[cell / 4, cell / 2 % 2, cell % 2]))
+                        (
+                            2 * Rank::from(i) + parity,
+                            c(&[cell / 4, cell / 2 % 2, cell % 2]),
+                        )
                     })
                     .collect(),
             },
@@ -1510,7 +1630,10 @@ mod tests {
         };
         let skipped = case.assert_quotient_exact(&MergeOptions::default());
         assert_eq!(skipped, 48 * 48 - 48 * 48 / 8);
-        let dor = MergeOptions { routing: Routing::DimOrder, ..Default::default() };
+        let dor = MergeOptions {
+            routing: Routing::DimOrder,
+            ..Default::default()
+        };
         assert_eq!(case.assert_quotient_exact(&dor), 0);
     }
 

@@ -83,7 +83,11 @@ pub fn assess(
     let total = graph.total_volume();
     OpportunityReport {
         imbalance,
-        distant_heavy_fraction: if off_node > 0.0 { distant / off_node } else { 0.0 },
+        distant_heavy_fraction: if off_node > 0.0 {
+            distant / off_node
+        } else {
+            0.0
+        },
         off_node_fraction: if total > 0.0 { off_node / total } else { 0.0 },
     }
 }

@@ -93,10 +93,7 @@ pub fn polish_placement_with(
                 }
             }
         }
-        if let (Some(a), Some(b)) = (
-            cluster_at[src_node as usize],
-            cluster_at[dst_node as usize],
-        ) {
+        if let (Some(a), Some(b)) = (cluster_at[src_node as usize], cluster_at[dst_node as usize]) {
             if a != b {
                 candidates.push((a, b));
             }
@@ -149,7 +146,15 @@ mod tests {
     ) -> PolishResult {
         let stencils = RouteStencilCache::new(topo);
         let routing = Routing::UniformMinimal;
-        polish_placement_with(topo, graph, placement, routing, max_proposals, seed, &stencils)
+        polish_placement_with(
+            topo,
+            graph,
+            placement,
+            routing,
+            max_proposals,
+            seed,
+            &stencils,
+        )
     }
 
     #[test]
@@ -178,7 +183,11 @@ mod tests {
         let r = polish(&topo, &g, &adjacent, 200, 7);
         assert!(r.final_mcl < r.initial_mcl);
         assert!(r.swaps_accepted >= 1);
-        assert!(r.final_mcl <= 52.0, "should reach near-optimal: {}", r.final_mcl);
+        assert!(
+            r.final_mcl <= 52.0,
+            "should reach near-optimal: {}",
+            r.final_mcl
+        );
     }
 
     #[test]

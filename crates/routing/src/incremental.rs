@@ -224,23 +224,24 @@ impl<'a> IncrementalLoads<'a> {
             let list_pool = &mut self.list_pool;
             let mut seq = 0u32;
             let (topo, routing) = (self.topo, self.routing);
-            self.cache.for_each_load(topo, routing, src, dst, f.bytes, |slot, v| {
-                let idx = slot_stage_idx[slot as usize];
-                let si = if idx != u32::MAX {
-                    idx as usize
-                } else {
-                    let si = staged_slots.len();
-                    slot_stage_idx[slot as usize] = si as u32;
-                    staged_slots.push(slot);
-                    let mut l = list_pool.pop().unwrap_or_default();
-                    l.clear();
-                    staged_new.push(l);
-                    si
-                };
-                staged_new[si].push((flow, seq, v));
-                fp.push(slot);
-                seq += 1;
-            });
+            self.cache
+                .for_each_load(topo, routing, src, dst, f.bytes, |slot, v| {
+                    let idx = slot_stage_idx[slot as usize];
+                    let si = if idx != u32::MAX {
+                        idx as usize
+                    } else {
+                        let si = staged_slots.len();
+                        slot_stage_idx[slot as usize] = si as u32;
+                        staged_slots.push(slot);
+                        let mut l = list_pool.pop().unwrap_or_default();
+                        l.clear();
+                        staged_new.push(l);
+                        si
+                    };
+                    staged_new[si].push((flow, seq, v));
+                    fp.push(slot);
+                    seq += 1;
+                });
         }
         fp.sort_unstable();
         fp.dedup();
@@ -309,7 +310,8 @@ impl<'a> IncrementalLoads<'a> {
                 std::mem::take(&mut self.staged_lists[si]),
             );
             self.list_pool.push(retired);
-            self.list_pool.push(std::mem::take(&mut self.staged_new[si]));
+            self.list_pool
+                .push(std::mem::take(&mut self.staged_new[si]));
             self.sums[s] = new;
             let w = self.width_of[s];
             let new_n = new / w;
@@ -337,12 +339,15 @@ impl<'a> IncrementalLoads<'a> {
     pub fn discard(&mut self) {
         for si in 0..self.staged_slots.len() {
             self.slot_stage_idx[self.staged_slots[si] as usize] = u32::MAX;
-            self.list_pool.push(std::mem::take(&mut self.staged_new[si]));
-            self.list_pool.push(std::mem::take(&mut self.staged_lists[si]));
+            self.list_pool
+                .push(std::mem::take(&mut self.staged_new[si]));
+            self.list_pool
+                .push(std::mem::take(&mut self.staged_lists[si]));
         }
         for i in 0..self.staged_flows.len() {
             self.flow_staged[self.staged_flows[i] as usize] = false;
-            self.slot_pool.push(std::mem::take(&mut self.staged_footprints[i]));
+            self.slot_pool
+                .push(std::mem::take(&mut self.staged_footprints[i]));
         }
         self.clear_staged();
     }

@@ -45,12 +45,7 @@ pub fn placement_loads(
 }
 
 /// MCL of `graph` placed by `placement` on `topo` under `routing`.
-pub fn mapping_mcl(
-    topo: &Torus,
-    graph: &CommGraph,
-    placement: &[NodeId],
-    routing: Routing,
-) -> f64 {
+pub fn mapping_mcl(topo: &Torus, graph: &CommGraph, placement: &[NodeId], routing: Routing) -> f64 {
     placement_loads(topo, graph, placement, routing).mcl(topo)
 }
 

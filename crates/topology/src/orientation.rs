@@ -104,7 +104,10 @@ impl Orientation {
     /// # Panics
     /// Panics if `mask` has bits beyond the dimension count.
     pub fn with_flips_toggled(&self, mask: u8) -> Orientation {
-        assert!(self.n == 8 || mask < (1 << self.n), "flip bits beyond dimension count");
+        assert!(
+            self.n == 8 || mask < (1 << self.n),
+            "flip bits beyond dimension count"
+        );
         Orientation {
             flips: self.flips ^ mask,
             ..*self
@@ -193,9 +196,7 @@ impl Orientation {
     pub fn enumerate_for(extent: &Coord) -> Vec<Orientation> {
         Orientation::enumerate(extent.ndims())
             .into_iter()
-            .filter(|o| {
-                (0..extent.ndims()).all(|d| extent.get(o.perm(d)) == extent.get(d))
-            })
+            .filter(|o| (0..extent.ndims()).all(|d| extent.get(o.perm(d)) == extent.get(d)))
             .collect()
     }
 }
@@ -278,7 +279,11 @@ mod tests {
         for o in Orientation::enumerate_for(&e) {
             let t = o.with_flips_toggled(0b101);
             assert_eq!(t.with_flips_toggled(0b101), o);
-            for x in [Coord::new(&[0, 0, 0]), Coord::new(&[1, 2, 3]), Coord::new(&[1, 0, 2])] {
+            for x in [
+                Coord::new(&[0, 0, 0]),
+                Coord::new(&[1, 2, 3]),
+                Coord::new(&[1, 0, 2]),
+            ] {
                 let (y, z) = (o.apply(&x, &e), t.apply(&x, &e));
                 assert_eq!(z, Coord::new(&[1 - y.get(0), y.get(1), 3 - y.get(2)]));
             }

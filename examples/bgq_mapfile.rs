@@ -44,7 +44,9 @@ fn main() {
     println!(
         "MCL: default {:.0} -> RAHTM {:.0}",
         default.mcl(&machine, &graph, Routing::UniformMinimal),
-        result.mapping.mcl(&machine, &graph, Routing::UniformMinimal),
+        result
+            .mapping
+            .mcl(&machine, &graph, Routing::UniformMinimal),
     );
 
     let path = "bt_16k_rahtm.map";

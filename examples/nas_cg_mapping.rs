@@ -26,20 +26,12 @@ fn main() {
     );
 
     // candidate mappings
-    let default = dim_order_mapping(
-        &machine,
-        &parse_order(&machine, "ABCDT").unwrap(),
-        ranks,
-    );
-    let t_first = dim_order_mapping(
-        &machine,
-        &parse_order(&machine, "TABCD").unwrap(),
-        ranks,
-    );
+    let default = dim_order_mapping(&machine, &parse_order(&machine, "ABCDT").unwrap(), ranks);
+    let t_first = dim_order_mapping(&machine, &parse_order(&machine, "TABCD").unwrap(), ranks);
     let hilbert = hilbert_mapping(&machine, ranks);
     let greedy = greedy_hop_bytes(&machine, &graph);
-    let rahtm = RahtmMapper::new(RahtmConfig::default())
-        .map(&machine, &graph, Some(spec.grid.clone()));
+    let rahtm =
+        RahtmMapper::new(RahtmConfig::default()).map(&machine, &graph, Some(spec.grid.clone()));
 
     // execution-time model calibrated so the default mapping spends the
     // benchmark's Figure-9 fraction in communication
@@ -53,7 +45,10 @@ fn main() {
         Routing::UniformMinimal,
     );
 
-    println!("{:<10} {:>12} {:>14} {:>14}", "mapping", "MCL", "comm time", "exec time");
+    println!(
+        "{:<10} {:>12} {:>14} {:>14}",
+        "mapping", "MCL", "comm time", "exec time"
+    );
     println!("{}", "-".repeat(54));
     let base = app.execute(topo, &graph, &default);
     for (name, place) in [

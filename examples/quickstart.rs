@@ -39,12 +39,7 @@ fn main() {
     println!("phase stats : {:?}", result.stats);
     println!();
     println!("BG/Q mapfile (first 4 ranks):");
-    for line in result
-        .mapping
-        .to_bgq_mapfile(&machine)
-        .lines()
-        .take(4)
-    {
+    for line in result.mapping.to_bgq_mapfile(&machine).lines().take(4) {
         println!("  {line}");
     }
 

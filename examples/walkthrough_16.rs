@@ -54,7 +54,10 @@ fn main() {
     // ---- Full pipeline: phases 1-3 together (Figures 6-7) ----
     println!("-- Phases 1+2+3: full pipeline with orientation merge --");
     let result = RahtmMapper::new(RahtmConfig::default()).map(&machine, &app, Some(grid));
-    println!("merge candidates evaluated: {}", result.stats.merge_candidates);
+    println!(
+        "merge candidates evaluated: {}",
+        result.stats.merge_candidates
+    );
     println!("predicted node-level MCL  : {:.1}", result.predicted_mcl);
 
     let default = TaskMapping::abcdet(&machine, 16);

@@ -33,11 +33,8 @@ fn benchmark_to_mapfile_roundtrip() {
     let text = std::fs::read_to_string(&out).unwrap();
     assert_eq!(text.lines().count(), 64);
     // parse it back through the library
-    let machine = rahtm_repro::prelude::BgqMachine::new(
-        rahtm_repro::prelude::Torus::torus(&[4, 4]),
-        4,
-        4,
-    );
+    let machine =
+        rahtm_repro::prelude::BgqMachine::new(rahtm_repro::prelude::Torus::torus(&[4, 4]), 4, 4);
     let map =
         rahtm_repro::prelude::TaskMapping::from_bgq_mapfile(&machine, &text).expect("valid map");
     map.validate(&machine);
@@ -136,7 +133,15 @@ fn bad_benchmark_rejected() {
 #[test]
 fn non_dividing_ranks_rejected() {
     let output = bin()
-        .args(["--benchmark", "CG", "--ranks", "64", "--machine", "3x5", "--fast"])
+        .args([
+            "--benchmark",
+            "CG",
+            "--ranks",
+            "64",
+            "--machine",
+            "3x5",
+            "--fast",
+        ])
         .output()
         .expect("binary runs");
     assert_eq!(output.status.code(), Some(3), "invalid input");
@@ -163,9 +168,15 @@ fn all_input_problems_reported_in_one_invocation() {
         .expect("binary runs");
     assert_eq!(output.status.code(), Some(3), "invalid input");
     let err = String::from_utf8_lossy(&output.stderr);
-    assert!(err.contains("uniformly"), "rank/node mismatch listed: {err}");
+    assert!(
+        err.contains("uniformly"),
+        "rank/node mismatch listed: {err}"
+    );
     assert!(err.contains("grid"), "grid mismatch listed: {err}");
-    assert!(!err.contains("panicked"), "no backtrace for user errors: {err}");
+    assert!(
+        !err.contains("panicked"),
+        "no backtrace for user errors: {err}"
+    );
 }
 
 #[test]
@@ -189,7 +200,10 @@ fn non_dividing_slice_side_is_invalid_input() {
     assert_eq!(output.status.code(), Some(3), "invalid input: {output:?}");
     let err = String::from_utf8_lossy(&output.stderr);
     assert!(err.contains("side 2 does not divide extent 3"), "{err}");
-    assert!(!err.contains("panicked"), "no backtrace for user errors: {err}");
+    assert!(
+        !err.contains("panicked"),
+        "no backtrace for user errors: {err}"
+    );
 }
 
 #[test]
@@ -216,7 +230,13 @@ fn malformed_profile_is_invalid_input() {
     let path = dir.join("bad.json");
     std::fs::write(&path, "{ this is not json").unwrap();
     let output = bin()
-        .args(["--profile", path.to_str().unwrap(), "--machine", "4x4", "--fast"])
+        .args([
+            "--profile",
+            path.to_str().unwrap(),
+            "--machine",
+            "4x4",
+            "--fast",
+        ])
         .output()
         .expect("binary runs");
     assert_eq!(output.status.code(), Some(3), "invalid input");

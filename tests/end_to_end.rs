@@ -14,11 +14,8 @@ fn all_benchmarks_map_at_micro_scale() {
     for bench in Benchmark::all() {
         let spec = bench.spec(64);
         let graph = spec.comm_graph();
-        let res = RahtmMapper::new(RahtmConfig::fast()).map(
-            &machine,
-            &graph,
-            Some(spec.grid.clone()),
-        );
+        let res =
+            RahtmMapper::new(RahtmConfig::fast()).map(&machine, &graph, Some(spec.grid.clone()));
         res.mapping.validate(&machine);
         assert_eq!(res.mapping.num_ranks(), 64, "{}", bench.name());
         // exactly concentration ranks per node
@@ -33,11 +30,8 @@ fn rahtm_never_loses_to_default_at_micro_scale() {
     for bench in Benchmark::all() {
         let spec = bench.spec(64);
         let graph = spec.comm_graph();
-        let res = RahtmMapper::new(RahtmConfig::fast()).map(
-            &machine,
-            &graph,
-            Some(spec.grid.clone()),
-        );
+        let res =
+            RahtmMapper::new(RahtmConfig::fast()).map(&machine, &graph, Some(spec.grid.clone()));
         let default = TaskMapping::abcdet(&machine, 64);
         let rahtm_mcl = res.mapping.mcl(&machine, &graph, Routing::UniformMinimal);
         let default_mcl = default.mcl(&machine, &graph, Routing::UniformMinimal);
@@ -59,11 +53,7 @@ fn mcl_prediction_validated_by_packet_simulator() {
     let bench = Benchmark::Bt;
     let spec = bench.spec(64);
     let graph = spec.comm_graph();
-    let res = RahtmMapper::new(RahtmConfig::fast()).map(
-        &machine,
-        &graph,
-        Some(spec.grid.clone()),
-    );
+    let res = RahtmMapper::new(RahtmConfig::fast()).map(&machine, &graph, Some(spec.grid.clone()));
     let default = TaskMapping::abcdet(&machine, 64);
 
     let mcl_r = res.mapping.mcl(&machine, &graph, Routing::UniformMinimal);

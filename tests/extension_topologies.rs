@@ -14,10 +14,13 @@ fn same_workload_three_machines() {
 
     // torus
     let torus_machine = BgqMachine::new(Torus::torus(&[4, 4]), 4, 4);
-    let torus_res = RahtmMapper::new(RahtmConfig::fast()).map(&torus_machine, &g, Some(grid.clone()));
+    let torus_res =
+        RahtmMapper::new(RahtmConfig::fast()).map(&torus_machine, &g, Some(grid.clone()));
     let torus_default = TaskMapping::abcdet(&torus_machine, 64);
     assert!(
-        torus_res.mapping.mcl(&torus_machine, &g, Routing::UniformMinimal)
+        torus_res
+            .mapping
+            .mcl(&torus_machine, &g, Routing::UniformMinimal)
             <= torus_default.mcl(&torus_machine, &g, Routing::UniformMinimal) + 1e-9
     );
 

@@ -76,7 +76,10 @@ fn expired_deadline_returns_warm_incumbent_under_parallel_search() {
     assert!(plan.fired(), "the targeted solve was reached");
     assert_valid_mapping(&machine, &res);
     let d = &res.stats.degradation;
-    assert_eq!(d.downgraded, 1, "kept the incumbent, downgraded once: {d:?}");
+    assert_eq!(
+        d.downgraded, 1,
+        "kept the incumbent, downgraded once: {d:?}"
+    );
     assert!(
         d.events.iter().any(|e| e.contains("deadline hit")),
         "timeout recorded: {:?}",
@@ -189,8 +192,8 @@ fn fault_at_later_subproblem_fires_once() {
         cache_subproblems: false,
         ..milp_cfg(plan.clone())
     })
-        .run(&machine, &g, Some(RankGrid::new(&[8, 8])))
-        .expect("faulted run");
+    .run(&machine, &g, Some(RankGrid::new(&[8, 8])))
+    .expect("faulted run");
     assert!(plan.fired());
     assert_valid_mapping(&machine, &res);
     assert_eq!(res.stats.degradation.downgraded, 1);
@@ -228,7 +231,11 @@ fn journal_records_each_degradation_rung() {
             Some(d.downgraded as u64),
             "{fault:?}: downgrade total"
         );
-        assert_eq!(j.counter(counters::DEGRADE_GREEDY), None, "{fault:?}: no greedy rung");
+        assert_eq!(
+            j.counter(counters::DEGRADE_GREEDY),
+            None,
+            "{fault:?}: no greedy rung"
+        );
     }
 }
 
@@ -247,8 +254,8 @@ fn journal_records_salvage_and_stays_clean_without_faults() {
         ..milp_cfg(FaultPlan::inject(Fault::SolverTimeout, 0))
     })
     .with_recorder(Recorder::enabled())
-        .run(&machine, &g, Some(grid.clone()))
-        .expect("control run");
+    .run(&machine, &g, Some(grid.clone()))
+    .expect("control run");
     let j = control.journal.as_ref().expect("journal");
     for name in [
         counters::DEGRADE_ANNEAL,
@@ -296,8 +303,9 @@ fn journal_rungs_reconcile_with_report_under_pressure() {
     let rung = |name| j.counter(name).unwrap_or(0) as usize;
     // the report is a view of the journal, so both count the same work,
     // including solves the panicking worker finished before dying
-    let journal_rungs =
-        rung(counters::DEGRADE_MILP) + rung(counters::DEGRADE_ANNEAL) + rung(counters::DEGRADE_GREEDY);
+    let journal_rungs = rung(counters::DEGRADE_MILP)
+        + rung(counters::DEGRADE_ANNEAL)
+        + rung(counters::DEGRADE_GREEDY);
     let report_rungs = d.milp + d.anneal + d.greedy;
     assert_eq!(
         journal_rungs, report_rungs,

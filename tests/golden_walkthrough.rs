@@ -28,7 +28,10 @@ fn run_traced_with(config: RahtmConfig) -> (RahtmResult, Journal) {
         .with_recorder(recorder.clone())
         .run(&machine, &app, Some(grid))
         .expect("walkthrough mapping succeeds");
-    let journal = res.journal.clone().expect("enabled recorder yields journal");
+    let journal = res
+        .journal
+        .clone()
+        .expect("enabled recorder yields journal");
     (res, journal)
 }
 
@@ -161,8 +164,12 @@ fn walkthrough_journal_snapshot() {
         ],
         "gauge inventory drifted"
     );
-    let gauge_values =
-        |name: &str| journal.gauge(name).map(|g| g.values.clone()).unwrap_or_default();
+    let gauge_values = |name: &str| {
+        journal
+            .gauge(name)
+            .map(|g| g.values.clone())
+            .unwrap_or_default()
+    };
     assert_eq!(gauge_values("cluster.level0.clusters"), vec![4.0]);
     assert_eq!(gauge_values("cluster.level1.clusters"), vec![16.0]);
     assert_eq!(gauge_values("pipeline.predicted_mcl"), vec![10.0]);

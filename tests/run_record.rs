@@ -39,7 +39,10 @@ fn assert_stats_are_a_journal_view(
         .run(machine, g, grid)
         .expect("traced run");
     assert!(untraced.journal.is_none(), "no export target, no journal");
-    let journal = traced.journal.as_ref().expect("traced run returns its journal");
+    let journal = traced
+        .journal
+        .as_ref()
+        .expect("traced run returns its journal");
     assert_eq!(untraced.mapping, traced.mapping);
     assert_eq!(counts(&untraced.stats), counts(&traced.stats));
     let view = PhaseStats::from_journal(journal);
@@ -89,7 +92,11 @@ fn reused_recorder_keeps_stats_per_run() {
     let second = mapper.run(&machine, &g, None).expect("second run");
     assert_eq!(counts(&first.stats), counts(&second.stats));
     let (j1, j2) = (first.journal.unwrap(), second.journal.unwrap());
-    assert_eq!(j1.normalized(), j2.normalized(), "each result holds its own run");
+    assert_eq!(
+        j1.normalized(),
+        j2.normalized(),
+        "each result holds its own run"
+    );
     // the caller's recorder accumulates both runs
     let solved = j1.counter(counters::SUBPROBLEMS_SOLVED).unwrap();
     assert_eq!(recorder.counter(counters::SUBPROBLEMS_SOLVED), 2 * solved);

@@ -62,7 +62,8 @@ fn c1_assignment_structure() {
             },
             ..Default::default()
         },
-    ).expect("Table II solve");
+    )
+    .expect("Table II solve");
     let distinct: std::collections::HashSet<_> = res.placement.iter().collect();
     assert_eq!(distinct.len(), 8);
     assert!(res.placement.iter().all(|&v| v < 8));
@@ -89,8 +90,13 @@ fn butterfly_embeds_into_cube() {
                 ..Default::default()
             },
         },
-    ).expect("Table II solve");
-    assert!(res.mcl <= 4.0 + 1e-5, "perfect embedding exists: {}", res.mcl);
+    )
+    .expect("Table II solve");
+    assert!(
+        res.mcl <= 4.0 + 1e-5,
+        "perfect embedding exists: {}",
+        res.mcl
+    );
     for f in g.flows() {
         assert_eq!(
             cube.distance(res.placement[f.src as usize], res.placement[f.dst as usize]),
@@ -123,7 +129,8 @@ fn budgeted_solve_returns_incumbent() {
             },
             ..Default::default()
         },
-    ).expect("Table II solve");
+    )
+    .expect("Table II solve");
     let distinct: std::collections::HashSet<_> = res.placement.iter().collect();
     assert_eq!(distinct.len(), 8);
 }
@@ -143,7 +150,8 @@ fn symmetry_breaking_is_lossless() {
                 enforce_minimal: true,
                 ..Default::default()
             },
-        ).expect("Table II solve");
+        )
+        .expect("Table II solve");
         let free = milp_map(
             &cube,
             &g,
@@ -152,7 +160,8 @@ fn symmetry_breaking_is_lossless() {
                 enforce_minimal: true,
                 ..Default::default()
             },
-        ).expect("Table II solve");
+        )
+        .expect("Table II solve");
         assert!(pinned.proven_optimal && free.proven_optimal);
         assert!(
             (pinned.mcl - free.mcl).abs() < 1e-5,
