@@ -85,16 +85,6 @@ pub fn dim_order_mapping(machine: &BgqMachine, order: &[DimOrder], num_ranks: u3
         .collect()
 }
 
-/// Convenience: parse + map in one call.
-///
-/// # Panics
-/// Panics on a malformed order string (use [`parse_order`] to handle
-/// errors gracefully).
-pub fn dim_order_mapping_str(machine: &BgqMachine, order: &str, num_ranks: u32) -> Vec<NodeId> {
-    let o = parse_order(machine, order).expect("bad order string");
-    dim_order_mapping(machine, &o, num_ranks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,6 +92,10 @@ mod tests {
 
     fn machine() -> BgqMachine {
         BgqMachine::new(Torus::torus(&[2, 3]), 4, 2)
+    }
+
+    fn dim_order_mapping_str(machine: &BgqMachine, order: &str, num_ranks: u32) -> Vec<NodeId> {
+        dim_order_mapping(machine, &parse_order(machine, order).unwrap(), num_ranks)
     }
 
     #[test]

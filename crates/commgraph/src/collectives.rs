@@ -243,7 +243,7 @@ mod tests {
         broadcast(&mut g, CollectiveAlgorithm::BinomialTree, 3, 50.0);
         g.validate();
         // root sends at least once, everyone reachable
-        assert!(g.rank_volume(3) > 0.0);
+        assert!(g.flows().iter().any(|f| f.src == 3));
         let mut reached = std::collections::HashSet::from([3u32]);
         // fixed-point reachability over flows
         for _ in 0..8 {

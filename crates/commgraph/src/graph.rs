@@ -101,15 +101,6 @@ impl CommGraph {
         self.volume(a, b) + self.volume(b, a)
     }
 
-    /// Total volume incident to `r` (in + out).
-    pub fn rank_volume(&self, r: Rank) -> f64 {
-        self.flows
-            .iter()
-            .filter(|f| f.src == r || f.dst == r)
-            .map(|f| f.bytes)
-            .sum()
-    }
-
     /// Per-rank incident volumes, computed in one pass.
     pub fn rank_volumes(&self) -> Vec<f64> {
         let mut v = vec![0.0; self.num_ranks as usize];
@@ -234,7 +225,6 @@ mod tests {
         g.add(1, 2, 4.0);
         let v = g.rank_volumes();
         assert_eq!(v, vec![3.0, 7.0, 4.0]);
-        assert_eq!(g.rank_volume(1), 7.0);
     }
 
     #[test]

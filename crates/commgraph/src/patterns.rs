@@ -53,30 +53,6 @@ pub fn halo_2d(rows: u32, cols: u32, bytes: f64, periodic: bool) -> CommGraph {
     g
 }
 
-/// A 3-D nearest-neighbor halo exchange (six neighbors).
-pub fn halo_3d(x: u32, y: u32, z: u32, bytes: f64, periodic: bool) -> CommGraph {
-    let grid = RankGrid::new(&[x, y, z]);
-    let mut g = CommGraph::new(grid.num_ranks());
-    let dims = [x as i64, y as i64, z as i64];
-    for r in 0..grid.num_ranks() {
-        let cell = grid.cell_of(r);
-        for d in 0..3 {
-            for step in [-1i64, 1] {
-                let mut nc = [cell[0] as i64, cell[1] as i64, cell[2] as i64];
-                nc[d] += step;
-                if periodic {
-                    nc[d] = nc[d].rem_euclid(dims[d]);
-                } else if nc[d] < 0 || nc[d] >= dims[d] {
-                    continue;
-                }
-                let neigh = grid.rank_of(&[nc[0] as u32, nc[1] as u32, nc[2] as u32]);
-                g.add(r, neigh, bytes);
-            }
-        }
-    }
-    g
-}
-
 /// A matrix-transpose pattern on a square `side × side` rank grid: rank
 /// `(i,j)` exchanges `bytes` with rank `(j,i)` — long-distance traffic that
 /// stresses bisection bandwidth.
@@ -158,19 +134,6 @@ pub fn bit_complement(n: u32, bytes: f64) -> CommGraph {
     g
 }
 
-/// Bit-reverse permutation: rank `r` sends to the bit-reversal of `r`
-/// (within `log2 n` bits). `n` must be a power of two.
-pub fn bit_reverse(n: u32, bytes: f64) -> CommGraph {
-    assert!(n.is_power_of_two() && n >= 2);
-    let bits = n.trailing_zeros();
-    let mut g = CommGraph::new(n);
-    for r in 0..n {
-        let rev = r.reverse_bits() >> (32 - bits);
-        g.add(r, rev, bytes);
-    }
-    g
-}
-
 /// Perfect-shuffle permutation: rank `r` sends to `rotate_left(r)` within
 /// `log2 n` bits. `n` must be a power of two.
 pub fn shuffle(n: u32, bytes: f64) -> CommGraph {
@@ -248,13 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn halo_3d_degree() {
-        let g = halo_3d(4, 4, 4, 1.0, true);
-        assert_eq!(g.num_flows(), 64 * 6);
-        g.validate();
-    }
-
-    #[test]
     fn transpose_is_symmetric_without_diagonal() {
         let g = transpose(4, 3.0);
         assert_eq!(g.num_flows(), 12);
@@ -295,17 +251,6 @@ mod tests {
         assert_eq!(g.volume(0, 15), 3.0);
         assert_eq!(g.volume(15, 0), 3.0);
         assert_eq!(g.volume(5, 10), 3.0);
-    }
-
-    #[test]
-    fn bit_reverse_structure() {
-        let g = bit_reverse(8, 1.0);
-        // 0b001 -> 0b100
-        assert_eq!(g.volume(1, 4), 1.0);
-        assert_eq!(g.volume(6, 3), 1.0);
-        // palindromes are self-edges, dropped
-        assert_eq!(g.volume(0, 0), 0.0);
-        g.validate();
     }
 
     #[test]

@@ -40,8 +40,8 @@
 //! with a lexicographically smaller solution vector. Combined with
 //! interleaving-independent node results, the returned optimum is
 //! bit-identical for any worker count whenever the true optimum is
-//! separated from the runner-up by more than `rel_gap·max(|obj|, 1)` (the
-//! pruning slack): every schedule then explores some node whose solution
+//! separated from the runner-up by more than `1e-9·max(|obj|, 1)` (the
+//! relative-gap pruning slack): every schedule then explores some node whose solution
 //! is that optimum, and the `(objective, x)` order picks the same winner
 //! regardless of discovery order. Optima tied within the gap slack may be
 //! pruned against each other in schedule-dependent order, and budget- or
@@ -54,6 +54,11 @@ use rahtm_obs::counters;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Integrality tolerance: a value within this of an integer is integral.
+const INT_TOL: f64 = 1e-6;
+/// Relative optimality gap below which a node is pruned.
+const REL_GAP: f64 = 1e-9;
 
 /// Termination status of a MILP solve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,10 +99,6 @@ pub struct MilpOptions {
     pub lp: SimplexOptions,
     /// Node budget: at most this many node LPs are solved.
     pub max_nodes: usize,
-    /// Integrality tolerance.
-    pub int_tol: f64,
-    /// Relative optimality gap at which to stop.
-    pub rel_gap: f64,
     /// Optional warm incumbent: a feasible integral point.
     pub initial_incumbent: Option<Vec<f64>>,
     /// Branch-and-bound worker threads (`0` counts as one). The search and
@@ -111,8 +112,6 @@ impl Default for MilpOptions {
         MilpOptions {
             lp: SimplexOptions::default(),
             max_nodes: 10_000,
-            int_tol: 1e-6,
-            rel_gap: 1e-9,
             initial_incumbent: None,
             threads: 1,
         }
@@ -279,7 +278,7 @@ pub fn solve_milp(p: &Problem, opts: &MilpOptions) -> MilpResult {
     };
     let (status, objective, x) = match best_x {
         Some(x) => {
-            let status = if exhausted && best_bound < best_obj - gap_slack(best_obj, opts.rel_gap) {
+            let status = if exhausted && best_bound < best_obj - gap_slack(best_obj) {
                 MilpStatus::Feasible
             } else {
                 MilpStatus::Optimal
@@ -358,7 +357,7 @@ fn process(
         return;
     }
     let best = f64::from_bits(shared.best_bits.load(Ordering::Acquire));
-    if node.parent_bound >= best - gap_slack(best, opts.rel_gap) {
+    if node.parent_bound >= best - gap_slack(best) {
         stats.pruned += 1;
         return;
     }
@@ -394,13 +393,13 @@ fn process(
     }
     let bound = sol.objective;
     let best = f64::from_bits(shared.best_bits.load(Ordering::Acquire));
-    if bound >= best - gap_slack(best, opts.rel_gap) {
+    if bound >= best - gap_slack(best) {
         stats.pruned += 1;
         return;
     }
     // Most fractional integer variable.
     let mut branch: Option<(usize, f64)> = None;
-    let mut best_frac = opts.int_tol;
+    let mut best_frac = INT_TOL;
     for &j in &shared.int_cols {
         let v = sol.x[j];
         let frac = (v - v.round()).abs();
@@ -463,10 +462,10 @@ fn process(
     }
 }
 
-/// Absolute slack corresponding to the relative gap.
-fn gap_slack(best_obj: f64, rel_gap: f64) -> f64 {
+/// Absolute slack corresponding to the relative gap `REL_GAP`.
+fn gap_slack(best_obj: f64) -> f64 {
     if best_obj.is_finite() {
-        rel_gap * best_obj.abs().max(1.0)
+        REL_GAP * best_obj.abs().max(1.0)
     } else {
         0.0
     }
@@ -531,9 +530,7 @@ mod tests {
     /// and the root LP is fractional, so the search needs several nodes.
     fn six_item_knapsack() -> Problem {
         let mut p = Problem::new();
-        let cols: Vec<_> = (0..6)
-            .map(|i| p.add_bin_col(&format!("x{i}"), -1.0))
-            .collect();
+        let cols: Vec<_> = (0..6).map(|_| p.add_bin_col(-1.0)).collect();
         let coeffs: Vec<_> = cols.iter().map(|&c| (c, 1.5)).collect();
         p.add_row(Sense::Le, 4.0, &coeffs);
         p
@@ -548,11 +545,7 @@ mod tests {
         let m = rng.gen_range(1..5usize);
         let mut p = Problem::new();
         let obj: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
-        let cols: Vec<_> = obj
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| p.add_bin_col(&format!("x{i}"), c))
-            .collect();
+        let cols: Vec<_> = obj.iter().map(|&c| p.add_bin_col(c)).collect();
         let mut rows = Vec::new();
         for _ in 0..m {
             let coeffs: Vec<f64> = (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect();
@@ -582,9 +575,9 @@ mod tests {
     fn knapsack_3_items() {
         // max 5a + 4b + 3c st 2a + 3b + c <= 5, binary -> optimum 9 (a,b)
         let mut p = Problem::new();
-        let a = p.add_bin_col("a", -5.0);
-        let b = p.add_bin_col("b", -4.0);
-        let c = p.add_bin_col("c", -3.0);
+        let a = p.add_bin_col(-5.0);
+        let b = p.add_bin_col(-4.0);
+        let c = p.add_bin_col(-3.0);
         p.add_row(Sense::Le, 5.0, &[(a, 2.0), (b, 3.0), (c, 1.0)]);
         for threads in THREADS {
             let r = solve_milp(&p, &threaded(threads));
@@ -599,7 +592,7 @@ mod tests {
     fn integrality_changes_optimum() {
         // max x st 2x <= 3: LP gives 1.5, ILP gives 1
         let mut p = Problem::new();
-        let x = p.add_int_col("x", 0.0, 10.0, -1.0);
+        let x = p.add_int_col(0.0, 10.0, -1.0);
         p.add_row(Sense::Le, 3.0, &[(x, 2.0)]);
         for threads in THREADS {
             let r = solve_milp(&p, &threaded(threads));
@@ -612,8 +605,8 @@ mod tests {
     #[test]
     fn infeasible_milp() {
         let mut p = Problem::new();
-        let x = p.add_bin_col("x", 1.0);
-        let y = p.add_bin_col("y", 1.0);
+        let x = p.add_bin_col(1.0);
+        let y = p.add_bin_col(1.0);
         p.add_row(Sense::Ge, 3.0, &[(x, 1.0), (y, 1.0)]);
         for threads in THREADS {
             let r = solve_milp(&p, &threaded(threads));
@@ -626,8 +619,8 @@ mod tests {
         // min -y - 0.5 x st y <= 2.5 (y int), x <= y, x cont in [0, 10]
         // y = 2, x = 2 -> obj = -3
         let mut p = Problem::new();
-        let x = p.add_col("x", 0.0, 10.0, -0.5);
-        let y = p.add_int_col("y", 0.0, 10.0, -1.0);
+        let x = p.add_col(0.0, 10.0, -0.5);
+        let y = p.add_int_col(0.0, 10.0, -1.0);
         p.add_row(Sense::Le, 2.5, &[(y, 1.0)]);
         p.add_row(Sense::Le, 0.0, &[(x, 1.0), (y, -1.0)]);
         for threads in THREADS {
@@ -644,9 +637,9 @@ mod tests {
         let cost = [[4.0, 2.0, 8.0], [4.0, 3.0, 7.0], [3.0, 1.0, 6.0]];
         let mut p = Problem::new();
         let mut cols = Vec::new();
-        for (i, row) in cost.iter().enumerate() {
-            for (j, &c) in row.iter().enumerate() {
-                cols.push(p.add_bin_col(&format!("x{i}{j}"), c));
+        for row in &cost {
+            for &c in row {
+                cols.push(p.add_bin_col(c));
             }
         }
         for i in 0..3 {
@@ -682,8 +675,8 @@ mod tests {
     fn warm_incumbent_accepted_and_never_worse() {
         // a=1,b=0 (2<=4, -5) beats a=0,b=1 (-4); a=b=1 is infeasible (5>4)
         let mut p = Problem::new();
-        let a = p.add_bin_col("a", -5.0);
-        let b = p.add_bin_col("b", -4.0);
+        let a = p.add_bin_col(-5.0);
+        let b = p.add_bin_col(-4.0);
         p.add_row(Sense::Le, 4.0, &[(a, 2.0), (b, 3.0)]);
         for threads in THREADS {
             let opts = MilpOptions {
@@ -699,7 +692,7 @@ mod tests {
     #[test]
     fn bogus_incumbent_rejected() {
         let mut p = Problem::new();
-        let a = p.add_bin_col("a", -5.0);
+        let a = p.add_bin_col(-5.0);
         p.add_row(Sense::Le, 0.0, &[(a, 1.0)]);
         for threads in THREADS {
             let opts = MilpOptions {
@@ -748,7 +741,7 @@ mod tests {
     fn node_budget_is_exact_under_contention() {
         let mut p = Problem::new();
         let cols: Vec<_> = (0..10)
-            .map(|i| p.add_bin_col(&format!("x{i}"), -1.0 - 0.01 * i as f64))
+            .map(|i| p.add_bin_col(-1.0 - 0.01 * i as f64))
             .collect();
         let coeffs: Vec<_> = cols.iter().map(|&c| (c, 1.5)).collect();
         p.add_row(Sense::Le, 7.0, &coeffs);
@@ -888,12 +881,9 @@ mod tests {
         for trial in 0..10 {
             let n = rng.gen_range(2..5usize);
             let mut p = Problem::new();
-            let mut cols = Vec::new();
-            for i in 0..n {
-                for j in 0..n {
-                    cols.push(p.add_bin_col(&format!("x{i}{j}"), rng.gen_range(0.0..9.0)));
-                }
-            }
+            let cols: Vec<_> = (0..n * n)
+                .map(|_| p.add_bin_col(rng.gen_range(0.0..9.0)))
+                .collect();
             for i in 0..n {
                 let cc: Vec<_> = (0..n).map(|j| (cols[i * n + j], 1.0)).collect();
                 p.add_row(Sense::Eq, 1.0, &cc);

@@ -58,7 +58,6 @@ pub struct Problem {
     pub(crate) upper: Vec<f64>,
     pub(crate) integer: Vec<bool>,
     pub(crate) rows: Vec<RowData>,
-    names: Vec<String>,
 }
 
 impl Problem {
@@ -73,27 +72,30 @@ impl Problem {
     ///
     /// # Panics
     /// Panics if `lower > upper` or either bound is NaN.
-    pub fn add_col(&mut self, name: &str, lower: f64, upper: f64, obj: f64) -> Col {
+    pub fn add_col(&mut self, lower: f64, upper: f64, obj: f64) -> Col {
         assert!(!lower.is_nan() && !upper.is_nan() && !obj.is_nan());
-        assert!(lower <= upper, "empty bound interval for {name}");
+        assert!(
+            lower <= upper,
+            "empty bound interval for column {}",
+            self.obj.len()
+        );
         self.obj.push(obj);
         self.lower.push(lower);
         self.upper.push(upper);
         self.integer.push(false);
-        self.names.push(name.to_string());
         Col(self.obj.len() - 1)
     }
 
     /// Adds an integer variable (bounds inclusive).
-    pub fn add_int_col(&mut self, name: &str, lower: f64, upper: f64, obj: f64) -> Col {
-        let c = self.add_col(name, lower, upper, obj);
+    pub fn add_int_col(&mut self, lower: f64, upper: f64, obj: f64) -> Col {
+        let c = self.add_col(lower, upper, obj);
         self.integer[c.0] = true;
         c
     }
 
     /// Adds a binary (0/1) variable.
-    pub fn add_bin_col(&mut self, name: &str, obj: f64) -> Col {
-        self.add_int_col(name, 0.0, 1.0, obj)
+    pub fn add_bin_col(&mut self, obj: f64) -> Col {
+        self.add_int_col(0.0, 1.0, obj)
     }
 
     /// Adds a sparse constraint row. Duplicate column entries are summed.
@@ -134,11 +136,6 @@ impl Problem {
         self.rows.len()
     }
 
-    /// Variable name.
-    pub fn col_name(&self, c: Col) -> &str {
-        &self.names[c.0]
-    }
-
     /// Variable bounds.
     pub fn bounds(&self, c: Col) -> (f64, f64) {
         (self.lower[c.0], self.upper[c.0])
@@ -152,11 +149,6 @@ impl Problem {
         assert!(lower <= upper, "empty bound interval");
         self.lower[c.0] = lower;
         self.upper[c.0] = upper;
-    }
-
-    /// Whether the variable is integer-constrained.
-    pub fn is_integer(&self, c: Col) -> bool {
-        self.integer[c.0]
     }
 
     /// Indices of all integer variables.
@@ -227,23 +219,20 @@ mod tests {
     #[test]
     fn build_and_query() {
         let mut p = Problem::new();
-        let x = p.add_col("x", 0.0, 10.0, 1.0);
-        let y = p.add_bin_col("y", -2.0);
+        let x = p.add_col(0.0, 10.0, 1.0);
+        let y = p.add_bin_col(-2.0);
         let r = p.add_row(Sense::Le, 5.0, &[(x, 1.0), (y, 3.0)]);
         assert_eq!(p.num_cols(), 2);
         assert_eq!(p.num_rows(), 1);
         assert_eq!(r.index(), 0);
-        assert!(!p.is_integer(x));
-        assert!(p.is_integer(y));
         assert_eq!(p.bounds(y), (0.0, 1.0));
-        assert_eq!(p.col_name(x), "x");
         assert_eq!(p.integer_cols(), vec![y]);
     }
 
     #[test]
     fn duplicate_coeffs_merge() {
         let mut p = Problem::new();
-        let x = p.add_col("x", 0.0, 1.0, 0.0);
+        let x = p.add_col(0.0, 1.0, 0.0);
         p.add_row(Sense::Eq, 3.0, &[(x, 1.0), (x, 2.0)]);
         assert_eq!(p.rows[0].coeffs, vec![(0, 3.0)]);
     }
@@ -251,8 +240,8 @@ mod tests {
     #[test]
     fn zero_coeffs_dropped() {
         let mut p = Problem::new();
-        let x = p.add_col("x", 0.0, 1.0, 0.0);
-        let y = p.add_col("y", 0.0, 1.0, 0.0);
+        let x = p.add_col(0.0, 1.0, 0.0);
+        let y = p.add_col(0.0, 1.0, 0.0);
         p.add_row(Sense::Le, 1.0, &[(x, 0.0), (y, 2.0)]);
         assert_eq!(p.rows[0].coeffs, vec![(1, 2.0)]);
     }
@@ -260,8 +249,8 @@ mod tests {
     #[test]
     fn feasibility_check() {
         let mut p = Problem::new();
-        let x = p.add_col("x", 0.0, 4.0, 1.0);
-        let y = p.add_col("y", 0.0, 4.0, 1.0);
+        let x = p.add_col(0.0, 4.0, 1.0);
+        let y = p.add_col(0.0, 4.0, 1.0);
         p.add_row(Sense::Le, 5.0, &[(x, 1.0), (y, 1.0)]);
         p.add_row(Sense::Ge, 1.0, &[(x, 1.0)]);
         assert!(p.is_feasible(&[2.0, 3.0], 1e-9));
@@ -272,8 +261,8 @@ mod tests {
     #[test]
     fn integrality_check() {
         let mut p = Problem::new();
-        let _x = p.add_col("x", 0.0, 4.0, 1.0);
-        let _y = p.add_int_col("y", 0.0, 4.0, 1.0);
+        let _x = p.add_col(0.0, 4.0, 1.0);
+        let _y = p.add_int_col(0.0, 4.0, 1.0);
         assert!(p.is_integral(&[0.5, 2.0], 1e-6));
         assert!(!p.is_integral(&[0.5, 2.5], 1e-6));
     }
@@ -281,9 +270,9 @@ mod tests {
     #[test]
     fn objective_value() {
         let mut p = Problem::new();
-        let x = p.add_col("x", 0.0, 1.0, 2.0);
+        let x = p.add_col(0.0, 1.0, 2.0);
         let _ = x;
-        let _y = p.add_col("y", 0.0, 1.0, -1.0);
+        let _y = p.add_col(0.0, 1.0, -1.0);
         assert_eq!(p.objective_value(&[3.0, 4.0]), 2.0);
     }
 
@@ -291,6 +280,6 @@ mod tests {
     #[should_panic]
     fn reversed_bounds_panic() {
         let mut p = Problem::new();
-        p.add_col("x", 1.0, 0.0, 0.0);
+        p.add_col(1.0, 0.0, 0.0);
     }
 }

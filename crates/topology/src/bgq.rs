@@ -13,9 +13,6 @@ use crate::coord::Coord;
 use crate::subcube::SubCube;
 use crate::torus::Torus;
 
-/// Canonical BG/Q dimension names; index 5 (`T`) is the on-node core slot.
-pub const DIM_NAMES: [char; 6] = ['A', 'B', 'C', 'D', 'E', 'T'];
-
 /// A machine: a node-level torus plus per-node process capacity.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BgqMachine {
@@ -73,15 +70,6 @@ impl BgqMachine {
     #[inline]
     pub fn num_process_slots(&self) -> u64 {
         self.torus.num_nodes() as u64 * self.concentration as u64
-    }
-
-    /// Name of dimension `d` (`A`, `B`, … falling back to `X<d>`).
-    pub fn dim_name(&self, d: usize) -> String {
-        if d < DIM_NAMES.len() - 1 {
-            DIM_NAMES[d].to_string()
-        } else {
-            format!("X{d}")
-        }
     }
 
     /// Slices the torus into uniform sub-tori of side `side`: every
@@ -228,12 +216,5 @@ mod tests {
         let slices = m.uniform_slices();
         assert_eq!(slices.len(), 1);
         assert_eq!(slices[0].len(), 16);
-    }
-
-    #[test]
-    fn dim_names() {
-        let m = BgqMachine::mira_512();
-        assert_eq!(m.dim_name(0), "A");
-        assert_eq!(m.dim_name(4), "E");
     }
 }

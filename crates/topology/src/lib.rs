@@ -8,8 +8,8 @@
 //! * [`Torus`] — k-ary n-mesh / n-torus topology graphs with dense,
 //!   per-direction channel indexing (the Blue Gene/Q 5-D torus is an
 //!   instance).
-//! * [`SubCube`] — axis-aligned sub-regions used by RAHTM's hierarchical
-//!   divide-and-conquer (leaf 2-ary n-cubes, recursive bisection).
+//! * [`SubCube`] — axis-aligned sub-regions of a torus that never cross
+//!   its wrap-around seam (the machine's uniform slices).
 //! * [`Orientation`] — the hyperoctahedral symmetry group (rotations and
 //!   reflections of a cube) used in the merge phase to re-orient solved
 //!   blocks.

@@ -207,11 +207,6 @@ impl Torus {
         self.strides[d]
     }
 
-    /// True if every dimension has the same extent.
-    pub fn is_uniform(&self) -> bool {
-        self.dims.windows(2).all(|w| w[0] == w[1])
-    }
-
     /// Converts a coordinate to a node id.
     #[inline]
     pub fn node_id(&self, c: &Coord) -> NodeId {
@@ -321,11 +316,6 @@ impl Torus {
         })
     }
 
-    /// Number of valid directed channels.
-    pub fn num_channels(&self) -> usize {
-        self.channels().count()
-    }
-
     /// Per-dimension signed minimal displacement from `src` to `dst`.
     ///
     /// For a wrapped dimension the shorter way around is chosen; an exact
@@ -429,7 +419,7 @@ mod tests {
         assert!(!t.wraps(0) && !t.wraps(1) && !t.wraps(2));
         assert_eq!(t.dim_width(0), 2.0);
         // 2-ary 3-cube: 12 undirected = 24 directed channels
-        assert_eq!(t.num_channels(), 24);
+        assert_eq!(t.channels().count(), 24);
     }
 
     #[test]
@@ -437,7 +427,7 @@ mod tests {
         // n * 2^(n-1) undirected edges, ×2 directed
         for n in 1..=5 {
             let t = Torus::two_ary_cube(n);
-            assert_eq!(t.num_channels(), n * (1 << (n - 1)) * 2);
+            assert_eq!(t.channels().count(), n * (1 << (n - 1)) * 2);
             assert_eq!(t.dim_width(0), 1.0);
         }
     }
@@ -446,7 +436,7 @@ mod tests {
     fn channel_count_torus() {
         // k-ary n-torus with k>2: every node has 2n outgoing channels
         let t = Torus::torus(&[4, 4, 4]);
-        assert_eq!(t.num_channels(), 64 * 6);
+        assert_eq!(t.channels().count(), 64 * 6);
     }
 
     #[test]
@@ -498,11 +488,5 @@ mod tests {
         assert_eq!(t.num_nodes(), 512);
         assert!(t.wraps(0) && !t.wraps(4));
         assert_eq!(t.dim_width(4), 2.0);
-    }
-
-    #[test]
-    fn is_uniform() {
-        assert!(Torus::torus(&[4, 4, 4]).is_uniform());
-        assert!(!Torus::torus(&[4, 4, 2]).is_uniform());
     }
 }
