@@ -8,22 +8,19 @@
 //!   table1        benchmark roster (Table I)
 //!   table2-check  solve a Table II instance and verify C1/C2/C3
 //!   fig1          hop-bytes vs MCL example (Figure 1)
-//!   fig8          overall execution time per mapping (Figure 8)
-//!   fig9          communication/computation fractions (Figure 9)
-//!   fig10         communication time per mapping (Figure 10)
-//!   opt-time      RAHTM offline mapping time (§V-B)
-//!   mcl           absolute MCL / hop-bytes per mapping
+//!   figures       one pass over every (benchmark, mapping) cell: Figures 9,
+//!                 10 and 8, then each cell's MCL, hop-bytes and mapping
+//!                 time (§V-B)
 //!   ablation      beam / scoring / tiling / MILP knob sweeps
 //!   validate      flow model vs packet simulator cross-check
 //!   opportunity   §VI mapping-opportunity prediction per benchmark
-//!   trace         run one mapping with tracing on; [--trace-json FILE] exports the journal
-//!   paper-suite   fig10 + fig8 + mapping cost from one pass (for --scale paper)
-//!   all           the paper's tables and figures in sequence
+//!   trace         run one mapping with tracing on (phase split of the
+//!                 mapping time); [--trace-json FILE] exports the journal
+//!   all           table1, table2-check, fig1 and figures in sequence
 //! ```
 
 use rahtm_bench::experiments::{
-    geomean, run_ablation, run_fig1, run_fig8_fig10, run_fig9, run_opt_time, run_validation,
-    FigRow, MappingKind, Scale,
+    geomean, run_ablation, run_fig1, run_figures, run_validation, FigRow, MappingKind, Scale,
 };
 use rahtm_bench::report::{pct, render_table, secs};
 use rahtm_commgraph::{patterns, Benchmark};
@@ -60,26 +57,19 @@ fn main() {
         "table1" => table1(),
         "table2-check" => table2_check(),
         "fig1" => fig1(),
-        "fig8" => figs(&scale, &cfg, Which::Fig8),
-        "fig10" => figs(&scale, &cfg, Which::Fig10),
-        "fig9" => fig9(&scale),
-        "mcl" => mcl_report(&scale, &cfg),
+        "figures" => figures(&scale, &cfg),
         "ablation" => ablation(&scale, &cfg),
         "validate" => validate(&scale, &cfg),
         "opportunity" => opportunity(&scale),
         "trace" => trace(&scale, &cfg, &args),
-        "paper-suite" => paper_suite(&scale, &cfg),
-        "opt-time" => opt_time(&scale, &cfg),
         "all" => {
             table1();
             table2_check();
             fig1();
-            fig9(&scale);
-            figs(&scale, &cfg, Which::Both);
-            opt_time(&scale, &cfg);
+            figures(&scale, &cfg);
         }
         _ => {
-            eprintln!("usage: harness <table1|table2-check|fig1|fig8|fig9|fig10|mcl|ablation|validate|opportunity|trace|opt-time|paper-suite|all> [--scale micro|mini|paper] [--milp] [--beam N] [--benchmark BT|SP|CG] [--trace-json FILE]");
+            eprintln!("usage: harness <table1|table2-check|fig1|figures|ablation|validate|opportunity|trace|all> [--scale micro|mini|paper] [--milp] [--beam N] [--benchmark BT|SP|CG] [--trace-json FILE]");
             std::process::exit(2);
         }
     }
@@ -173,26 +163,64 @@ fn fig1() {
     );
 }
 
-enum Which {
-    Fig8,
-    Fig10,
-    Both,
-}
-
-fn figs(scale: &Scale, cfg: &RahtmConfig, which: Which) {
+/// The figure pass: every (benchmark, mapping) cell computed once, then
+/// Figure 9 (the calibration input), Figure 10, Figure 8 and each cell's
+/// mapping cost.
+fn figures(scale: &Scale, cfg: &RahtmConfig) {
+    println!("== Figure 9: communication vs computation fraction ==");
+    let table: Vec<Vec<String>> = Benchmark::all()
+        .into_iter()
+        .map(|b| {
+            vec![
+                b.name().to_string(),
+                format!("{:.0}%", b.comm_fraction() * 100.0),
+                format!("{:.0}%", (1.0 - b.comm_fraction()) * 100.0),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(&["benchmark", "communication", "computation"], &table)
+    );
     let mappings = MappingKind::paper_lineup(scale, cfg.clone());
-    let rows = run_fig8_fig10(scale, &mappings);
-    match which {
-        Which::Fig8 => print_fig8(scale, &mappings, &rows),
-        Which::Fig10 => print_fig10(scale, &mappings, &rows),
-        Which::Both => {
-            print_fig10(scale, &mappings, &rows);
-            print_fig8(scale, &mappings, &rows);
-        }
-    }
+    let rows = run_figures(scale, &mappings);
+    print_fig(
+        "== Figure 10: communication time vs default ==",
+        scale,
+        &mappings,
+        &rows,
+        |r| r.comm_rel,
+    );
+    print_fig(
+        "== Figure 8: overall execution time vs default ==",
+        scale,
+        &mappings,
+        &rows,
+        |r| r.exec_rel,
+    );
+    println!("== Mapping cost per cell (§V-B, scale {}) ==", scale.name);
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.bench.to_string(),
+                r.mapping.clone(),
+                format!("{:.0}", r.mcl),
+                format!("{:.2e}", r.hop_bytes),
+                secs(r.map_secs),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(
+            &["bench", "mapping", "MCL", "hop-bytes", "map time"],
+            &table
+        )
+    );
 }
 
-fn print_fig_generic(
+fn print_fig(
     title: &str,
     scale: &Scale,
     mappings: &[MappingKind],
@@ -220,85 +248,6 @@ fn print_fig_generic(
     println!(
         "{}",
         render_table(&["mapping", "BT", "SP", "CG", "geomean"], &table)
-    );
-}
-
-fn print_fig8(scale: &Scale, mappings: &[MappingKind], rows: &[FigRow]) {
-    print_fig_generic(
-        "== Figure 8: overall execution time vs default ==",
-        scale,
-        mappings,
-        rows,
-        |r| r.exec_rel,
-    );
-}
-
-fn print_fig10(scale: &Scale, mappings: &[MappingKind], rows: &[FigRow]) {
-    print_fig_generic(
-        "== Figure 10: communication time vs default ==",
-        scale,
-        mappings,
-        rows,
-        |r| r.comm_rel,
-    );
-}
-
-fn mcl_report(scale: &Scale, cfg: &RahtmConfig) {
-    println!(
-        "== Absolute MCL / hop-bytes per mapping (scale {}) ==",
-        scale.name
-    );
-    let mappings = MappingKind::paper_lineup(scale, cfg.clone());
-    let rows = run_fig8_fig10(scale, &mappings);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.bench.to_string(),
-                r.mapping.clone(),
-                format!("{:.0}", r.mcl),
-                format!("{:.2e}", r.hop_bytes),
-                secs(r.map_secs),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &["bench", "mapping", "MCL", "hop-bytes", "map time"],
-            &table
-        )
-    );
-}
-
-/// One pass over the full mapping line-up: fig10, fig8, and per-mapping
-/// computation cost from the SAME run (each mapping computed exactly once
-/// per benchmark — the efficient way to regenerate the evaluation at the
-/// 16K paper scale).
-fn paper_suite(scale: &Scale, cfg: &RahtmConfig) {
-    let mappings = MappingKind::paper_lineup(scale, cfg.clone());
-    let rows = run_fig8_fig10(scale, &mappings);
-    print_fig10(scale, &mappings, &rows);
-    print_fig8(scale, &mappings, &rows);
-    println!(
-        "== Mapping computation cost (same run, scale {}) ==",
-        scale.name
-    );
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .filter(|r| r.mapping == "RAHTM")
-        .map(|r| {
-            vec![
-                r.bench.to_string(),
-                r.mapping.clone(),
-                secs(r.map_secs),
-                format!("{:.0}", r.mcl),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["bench", "mapping", "map time", "MCL"], &table)
     );
 }
 
@@ -460,60 +409,6 @@ fn ablation(scale: &Scale, cfg: &RahtmConfig) {
         "{}",
         render_table(
             &["knob", "setting", "MCL", "vs baseline", "map time"],
-            &table
-        )
-    );
-}
-
-fn fig9(scale: &Scale) {
-    println!("== Figure 9: communication vs computation fraction ==");
-    let rows = run_fig9(scale);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.bench.to_string(),
-                format!("{:.0}%", r.comm_fraction * 100.0),
-                format!("{:.0}%", r.comp_fraction * 100.0),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["benchmark", "communication", "computation"], &table)
-    );
-}
-
-fn opt_time(scale: &Scale, cfg: &RahtmConfig) {
-    println!(
-        "== Optimization time (offline mapping cost, scale {}) ==",
-        scale.name
-    );
-    let rows = run_opt_time(scale, cfg);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.bench.to_string(),
-                secs(r.total_secs),
-                secs(r.clustering_secs),
-                secs(r.milp_secs),
-                secs(r.merge_secs),
-                format!("{} ({} cached)", r.solves, r.cache_hits),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "benchmark",
-                "total",
-                "cluster",
-                "map",
-                "merge",
-                "subproblems"
-            ],
             &table
         )
     );

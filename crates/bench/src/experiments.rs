@@ -5,12 +5,11 @@
 //! share one code path.
 
 use rahtm_baselines::{
-    dim_order_mapping, greedy_hop_bytes, hilbert_mapping, permute::parse_order, random_mapping,
-    rht_mapping, RhtConfig,
+    dim_order_mapping, hilbert_mapping, permute::parse_order, rht_mapping, RhtConfig,
 };
 use rahtm_commgraph::{Benchmark, CommGraph, RankGrid};
 use rahtm_core::{RahtmConfig, RahtmMapper};
-use rahtm_netsim::{AppModel, CommTimeModel};
+use rahtm_netsim::{AppModel, CommTimeModel, ExecutionBreakdown};
 use rahtm_routing::{mapping_hop_bytes, mapping_mcl, Routing};
 use rahtm_topology::{BgqMachine, NodeId, Torus};
 use std::time::Instant;
@@ -85,10 +84,6 @@ pub enum MappingKind {
     Hilbert,
     /// Rubik-like hierarchical tiling.
     Rht,
-    /// Greedy hop-bytes (routing-unaware heuristic).
-    GreedyHopBytes,
-    /// Seeded random mapping.
-    Random(u64),
     /// RAHTM with the given configuration.
     Rahtm(Box<RahtmConfig>),
 }
@@ -100,13 +95,12 @@ impl MappingKind {
             MappingKind::Order(i) => scale.orders[*i].0.to_string(),
             MappingKind::Hilbert => "Hilbert".into(),
             MappingKind::Rht => "RHT".into(),
-            MappingKind::GreedyHopBytes => "HopBytes".into(),
-            MappingKind::Random(_) => "Random".into(),
             MappingKind::Rahtm(_) => "RAHTM".into(),
         }
     }
 
     /// The paper's Figure 8/10 line-up (default order first, RAHTM last).
+    /// [`run_figures`] takes its first cell as the reference.
     pub fn paper_lineup(scale: &Scale, rahtm: RahtmConfig) -> Vec<MappingKind> {
         let mut v: Vec<MappingKind> = (0..scale.orders.len()).map(MappingKind::Order).collect();
         v.push(MappingKind::Hilbert);
@@ -120,7 +114,6 @@ impl MappingKind {
 pub fn compute_mapping(
     kind: &MappingKind,
     scale: &Scale,
-    bench: Benchmark,
     graph: &CommGraph,
     grid: &RankGrid,
 ) -> Vec<NodeId> {
@@ -135,28 +128,22 @@ pub fn compute_mapping(
             let cfg = RhtConfig::generic(machine, grid);
             rht_mapping(machine, grid, &cfg, scale.ranks)
         }
-        MappingKind::GreedyHopBytes => greedy_hop_bytes(machine, graph),
-        MappingKind::Random(seed) => random_mapping(machine, scale.ranks, *seed),
-        MappingKind::Rahtm(cfg) => {
-            let mapper = RahtmMapper::new((**cfg).clone());
-            let _ = bench;
-            mapper
-                .map(machine, graph, Some(grid.clone()))
-                .mapping
-                .nodes()
-                .to_vec()
-        }
+        MappingKind::Rahtm(cfg) => RahtmMapper::new((**cfg).clone())
+            .map(machine, graph, Some(grid.clone()))
+            .mapping
+            .nodes()
+            .to_vec(),
     }
 }
 
-/// One row of the Figure 8 / Figure 10 data: a (benchmark, mapping) cell.
+/// One cell of the figure pass: a (benchmark, mapping) pair.
 #[derive(Clone, Debug)]
 pub struct FigRow {
     /// Benchmark name.
     pub bench: &'static str,
     /// Mapping label.
     pub mapping: String,
-    /// Per-iteration communication time (µs).
+    /// Communication time over all iterations (µs).
     pub comm_time: f64,
     /// Total execution time (µs).
     pub exec_time: f64,
@@ -168,47 +155,52 @@ pub struct FigRow {
     pub mcl: f64,
     /// Hop-bytes (the routing-unaware metric, for contrast).
     pub hop_bytes: f64,
-    /// Mapping computation wall time (seconds).
+    /// Mapping computation wall time (seconds, §V-B).
     pub map_secs: f64,
 }
 
-/// Runs the Figure 8 + Figure 10 experiment: every benchmark × every
-/// mapping, reporting absolute and default-relative times.
-pub fn run_fig8_fig10(scale: &Scale, mappings: &[MappingKind]) -> Vec<FigRow> {
-    let machine = &scale.machine;
-    let topo = machine.torus();
+/// The figure pass: every benchmark under every mapping of `mappings`,
+/// each cell computed and routed once. Figures 8 and 10 and the §V-B
+/// mapping cost are views of its rows; Figure 9 is the calibration input
+/// [`Benchmark::comm_fraction`].
+///
+/// The first mapping is the reference (the default order in
+/// [`MappingKind::paper_lineup`]): the application model is calibrated on
+/// its routed communication time, and every row's times are relative to
+/// its row, which therefore reads exactly 1.
+pub fn run_figures(scale: &Scale, mappings: &[MappingKind]) -> Vec<FigRow> {
+    let topo = scale.machine.torus();
     let comm_model = CommTimeModel::default();
+    let routing = Routing::UniformMinimal;
     let mut rows = Vec::new();
     for bench in Benchmark::all() {
         let spec = bench.spec(scale.ranks);
         let graph = spec.comm_graph();
-        let grid = spec.grid.clone();
-        // reference: the default order
-        let default_map = compute_mapping(&MappingKind::Order(0), scale, bench, &graph, &grid);
-        let app = AppModel::calibrated(
-            topo,
-            &graph,
-            &default_map,
-            bench.comm_fraction(),
-            bench.iterations(),
-            comm_model,
-            Routing::UniformMinimal,
-        );
-        let base = app.execute(topo, &graph, &default_map);
-        let base_comm = base.comm;
-        let base_exec = base.total;
+        let mut reference: Option<(AppModel, ExecutionBreakdown)> = None;
         for kind in mappings {
             let t0 = Instant::now();
-            let placement = compute_mapping(kind, scale, bench, &graph, &grid);
+            let placement = compute_mapping(kind, scale, &graph, &spec.grid);
             let map_secs = t0.elapsed().as_secs_f64();
-            let e = app.execute(topo, &graph, &placement);
+            let comm_iter = comm_model.comm_time(topo, &graph, &placement, routing);
+            let (app, base) = reference.get_or_insert_with(|| {
+                let app = AppModel::from_reference(
+                    &comm_iter,
+                    bench.comm_fraction(),
+                    bench.iterations(),
+                    comm_model,
+                    routing,
+                );
+                let base = app.breakdown(&comm_iter);
+                (app, base)
+            });
+            let e = app.breakdown(&comm_iter);
             rows.push(FigRow {
                 bench: bench.name(),
                 mapping: kind.label(scale),
                 comm_time: e.comm,
                 exec_time: e.total,
-                comm_rel: e.comm / base_comm,
-                exec_rel: e.total / base_exec,
+                comm_rel: e.comm / base.comm,
+                exec_rel: e.total / base.total,
                 mcl: e.mcl,
                 hop_bytes: mapping_hop_bytes(topo, &graph, &placement),
                 map_secs,
@@ -216,48 +208,6 @@ pub fn run_fig8_fig10(scale: &Scale, mappings: &[MappingKind]) -> Vec<FigRow> {
         }
     }
     rows
-}
-
-/// One row of Figure 9: the communication/computation split.
-#[derive(Clone, Debug)]
-pub struct Fig9Row {
-    /// Benchmark name.
-    pub bench: &'static str,
-    /// Fraction of execution time in communication (default mapping).
-    pub comm_fraction: f64,
-    /// Fraction in computation.
-    pub comp_fraction: f64,
-}
-
-/// Runs the Figure 9 experiment: measured communication fraction of each
-/// benchmark under the default mapping.
-pub fn run_fig9(scale: &Scale) -> Vec<Fig9Row> {
-    let machine = &scale.machine;
-    let topo = machine.torus();
-    Benchmark::all()
-        .into_iter()
-        .map(|bench| {
-            let spec = bench.spec(scale.ranks);
-            let graph = spec.comm_graph();
-            let grid = spec.grid.clone();
-            let default_map = compute_mapping(&MappingKind::Order(0), scale, bench, &graph, &grid);
-            let app = AppModel::calibrated(
-                topo,
-                &graph,
-                &default_map,
-                bench.comm_fraction(),
-                bench.iterations(),
-                CommTimeModel::default(),
-                Routing::UniformMinimal,
-            );
-            let e = app.execute(topo, &graph, &default_map);
-            Fig9Row {
-                bench: bench.name(),
-                comm_fraction: e.comm_fraction(),
-                comp_fraction: 1.0 - e.comm_fraction(),
-            }
-        })
-        .collect()
 }
 
 /// Figure 1 result: the motivating 2×2 example, per placement strategy.
@@ -286,49 +236,6 @@ pub fn run_fig1() -> Fig1Result {
         hopbytes_placement_hb: mapping_hop_bytes(&topo, &g, &adjacent),
         mcl_placement_hb: mapping_hop_bytes(&topo, &g, &diagonal),
     }
-}
-
-/// Optimization-time report (§V-B): per-benchmark RAHTM mapping cost.
-#[derive(Clone, Debug)]
-pub struct OptTimeRow {
-    /// Benchmark name.
-    pub bench: &'static str,
-    /// Total mapping wall time (seconds).
-    pub total_secs: f64,
-    /// Phase breakdown.
-    pub clustering_secs: f64,
-    /// MILP phase seconds.
-    pub milp_secs: f64,
-    /// Merge phase seconds.
-    pub merge_secs: f64,
-    /// Sub-problem solves / cache hits.
-    pub solves: usize,
-    /// Cache hits.
-    pub cache_hits: usize,
-}
-
-/// Measures RAHTM's offline mapping time per benchmark.
-pub fn run_opt_time(scale: &Scale, cfg: &RahtmConfig) -> Vec<OptTimeRow> {
-    Benchmark::all()
-        .into_iter()
-        .map(|bench| {
-            let spec = bench.spec(scale.ranks);
-            let graph = spec.comm_graph();
-            let t0 = Instant::now();
-            let res =
-                RahtmMapper::new(cfg.clone()).map(&scale.machine, &graph, Some(spec.grid.clone()));
-            let total = t0.elapsed().as_secs_f64();
-            OptTimeRow {
-                bench: bench.name(),
-                total_secs: total,
-                clustering_secs: res.stats.clustering_secs,
-                milp_secs: res.stats.milp_secs,
-                merge_secs: res.stats.merge_secs,
-                solves: res.stats.milp_solves,
-                cache_hits: res.stats.milp_cache_hits,
-            }
-        })
-        .collect()
 }
 
 /// One ablation measurement: a configuration knob's effect on mapping
@@ -465,7 +372,7 @@ pub fn run_validation(scale: &Scale, mappings: &[MappingKind]) -> Vec<Validation
         let spec = bench.spec(scale.ranks);
         let graph = spec.comm_graph();
         for kind in mappings {
-            let place = compute_mapping(kind, scale, bench, &graph, &spec.grid);
+            let place = compute_mapping(kind, scale, &graph, &spec.grid);
             let b = model.comm_time(topo, &graph, &place, Routing::UniformMinimal);
             let des = simulate_phase(topo, &graph, &place, &DesConfig::default());
             rows.push(ValidationRow {
@@ -499,25 +406,82 @@ mod tests {
 
     #[test]
     fn fig9_micro_matches_calibration() {
-        let rows = run_fig9(&Scale::micro());
+        // the reference rows spend exactly the Figure 9 fraction communicating
+        let scale = Scale::micro();
+        let rows = run_figures(&scale, &[MappingKind::Order(0)]);
         assert_eq!(rows.len(), 3);
-        for row in &rows {
+        for (row, bench) in rows.iter().zip(Benchmark::all()) {
+            assert_eq!(row.bench, bench.name());
             let expect = match row.bench {
                 "BT" => 0.34,
                 "SP" => 0.36,
                 "CG" => 0.72,
                 _ => unreachable!(),
             };
-            assert!((row.comm_fraction - expect).abs() < 1e-9, "{row:?}");
-            assert!((row.comm_fraction + row.comp_fraction - 1.0).abs() < 1e-12);
+            assert_eq!(bench.comm_fraction(), expect);
+            assert!(
+                (row.comm_time / row.exec_time - expect).abs() < 1e-9,
+                "{row:?}"
+            );
+            assert_eq!((row.comm_rel, row.exec_rel), (1.0, 1.0));
         }
+    }
+
+    #[test]
+    fn figure_pass_matches_calibrated_execute() {
+        // one routing per cell gives the same bits as calibrating on the
+        // default order and executing every mapping separately
+        let scale = Scale::micro();
+        let mappings = MappingKind::paper_lineup(&scale, RahtmConfig::fast());
+        let rows = run_figures(&scale, &mappings);
+        let topo = scale.machine.torus();
+        let mut rows = rows.iter();
+        for bench in Benchmark::all() {
+            let spec = bench.spec(scale.ranks);
+            let graph = spec.comm_graph();
+            let place = |kind| compute_mapping(kind, &scale, &graph, &spec.grid);
+            let app = AppModel::calibrated(
+                topo,
+                &graph,
+                &place(&MappingKind::Order(0)),
+                bench.comm_fraction(),
+                bench.iterations(),
+                CommTimeModel::default(),
+                Routing::UniformMinimal,
+            );
+            let base = app.execute(topo, &graph, &place(&MappingKind::Order(0)));
+            for kind in &mappings {
+                let e = app.execute(topo, &graph, &place(kind));
+                let row = rows.next().expect("one row per cell");
+                assert_eq!(
+                    (row.bench, row.mapping.as_str()),
+                    (bench.name(), kind.label(&scale).as_str())
+                );
+                let got = [
+                    row.comm_time,
+                    row.exec_time,
+                    row.comm_rel,
+                    row.exec_rel,
+                    row.mcl,
+                ];
+                let want = [
+                    e.comm,
+                    e.total,
+                    e.comm / base.comm,
+                    e.total / base.total,
+                    e.mcl,
+                ];
+                assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{row:?}");
+            }
+        }
+        assert!(rows.next().is_none());
     }
 
     #[test]
     fn fig8_micro_runs_and_rahtm_wins_or_ties() {
         let scale = Scale::micro();
         let mappings = MappingKind::paper_lineup(&scale, RahtmConfig::fast());
-        let rows = run_fig8_fig10(&scale, &mappings);
+        let rows = run_figures(&scale, &mappings);
         assert_eq!(rows.len(), 3 * mappings.len());
         // default order rows have rel == 1
         for r in rows.iter().filter(|r| r.mapping == "ABT") {
@@ -538,13 +502,5 @@ mod tests {
     fn geomean_math() {
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn opt_time_micro() {
-        let rows = run_opt_time(&Scale::micro(), &RahtmConfig::fast());
-        assert_eq!(rows.len(), 3);
-        assert!(rows.iter().all(|r| r.total_secs > 0.0));
-        assert!(rows.iter().all(|r| r.solves > 0));
     }
 }

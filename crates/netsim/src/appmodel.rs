@@ -9,7 +9,7 @@
 //! is then evaluated with the same fixed computation time and its own
 //! communication time — exactly how Figures 8–10 relate.
 
-use crate::flowmodel::CommTimeModel;
+use crate::flowmodel::{CommTimeBreakdown, CommTimeModel};
 use rahtm_commgraph::CommGraph;
 use rahtm_routing::Routing;
 use rahtm_topology::{NodeId, Torus};
@@ -69,10 +69,26 @@ impl AppModel {
         comm_model: CommTimeModel,
         routing: Routing,
     ) -> AppModel {
+        let reference = comm_model.comm_time(topo, graph, reference_placement, routing);
+        AppModel::from_reference(&reference, comm_fraction, iterations, comm_model, routing)
+    }
+
+    /// [`AppModel::calibrated`] on a reference mapping's already routed
+    /// per-iteration communication time, so a caller that also needs the
+    /// reference's own breakdown ([`AppModel::breakdown`]) routes it once.
+    ///
+    /// # Panics
+    /// Panics if `comm_fraction` is outside `(0, 1)` or `reference` has
+    /// zero communication time.
+    pub fn from_reference(
+        reference: &CommTimeBreakdown,
+        comm_fraction: f64,
+        iterations: u32,
+        comm_model: CommTimeModel,
+        routing: Routing,
+    ) -> AppModel {
         assert!(comm_fraction > 0.0 && comm_fraction < 1.0);
-        let comm = comm_model
-            .comm_time(topo, graph, reference_placement, routing)
-            .total();
+        let comm = reference.total();
         assert!(comm > 0.0, "reference mapping has no communication");
         let comp_time = comm * (1.0 - comm_fraction) / comm_fraction;
         AppModel {
@@ -90,9 +106,16 @@ impl AppModel {
         graph: &CommGraph,
         placement: &[NodeId],
     ) -> ExecutionBreakdown {
-        let comm_iter = self
-            .comm_model
-            .comm_time(topo, graph, placement, self.routing);
+        self.breakdown(
+            &self
+                .comm_model
+                .comm_time(topo, graph, placement, self.routing),
+        )
+    }
+
+    /// [`AppModel::execute`] on a mapping's already routed per-iteration
+    /// communication time (`self.comm_model` under `self.routing`).
+    pub fn breakdown(&self, comm_iter: &CommTimeBreakdown) -> ExecutionBreakdown {
         let comm = comm_iter.total() * self.iterations as f64;
         let comp = self.comp_time * self.iterations as f64;
         ExecutionBreakdown {

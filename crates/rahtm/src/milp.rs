@@ -225,7 +225,7 @@ pub fn milp_map(
             Some(s) => canonicalize_placement(cube, inc, s),
             None => inc.clone(),
         };
-        if let Some(x) = expand_incumbent(cube, graph, &channels, &p, &g, &f, &r, z, &inc, opts) {
+        if let Some(x) = expand_incumbent(cube, graph, &channels, &p, &g, &f, &r, z, &inc) {
             milp_opts.initial_incumbent = Some(x);
         }
     }
@@ -258,9 +258,7 @@ pub fn milp_map(
             }
             None => (0..a as NodeId).collect(),
         };
-        if let Some(x) =
-            expand_incumbent(cube, graph, &channels, &p, &g, &f, &r, z, &fallback, opts)
-        {
+        if let Some(x) = expand_incumbent(cube, graph, &channels, &p, &g, &f, &r, z, &fallback) {
             milp_opts.initial_incumbent = Some(x);
         }
     }
@@ -468,7 +466,6 @@ fn expand_incumbent(
     r: &[Vec<Col>],
     z: Col,
     placement: &[NodeId],
-    opts: &MilpMapOptions,
 ) -> Option<Vec<f64>> {
     let mut x = vec![0.0; p.num_cols()];
     for (ai, &vi) in placement.iter().enumerate() {
@@ -510,7 +507,6 @@ fn expand_incumbent(
     x[z.index()] = zval;
     // The pin from symmetry breaking may contradict the incumbent.
     if !p.is_feasible(&x, 1e-6) || !p.is_integral(&x, 1e-6) {
-        let _ = opts;
         return None;
     }
     Some(x)

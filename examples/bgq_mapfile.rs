@@ -25,7 +25,7 @@ fn main() {
     );
 
     // annealing-only configuration: the fast end of the quality/time
-    // trade-off (see the opt-time harness command for the full sweep)
+    // trade-off (`harness ablation` sweeps the knobs)
     let cfg = RahtmConfig {
         use_milp: false,
         ..RahtmConfig::default()
