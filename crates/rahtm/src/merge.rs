@@ -20,7 +20,10 @@
 //! candidates finished before it): such a candidate provably cannot make
 //! the beam (DESIGN.md §13). Positions are dense `Vec`s indexed by
 //! cluster id, keeping the per-candidate cost at `O(incident flows × path
-//! box)` at most.
+//! box)` at most. The candidates of a step route the same node pairs over
+//! and over, so each pair's routing stencil is translated into channel
+//! slots once per chunk of candidates and replayed after that (DESIGN.md
+//! §10).
 //!
 //! A step scores its candidates in fixed chunks, a wave at a time,
 //! through the run's job runner: on the calling thread and on helper
@@ -45,6 +48,7 @@ use rahtm_obs::{counters, Recorder};
 use rahtm_routing::{ChannelLoads, RouteStencilCache, Routing};
 use rahtm_topology::{Coord, NodeId, Orientation, Torus};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 const UNPLACED: NodeId = NodeId::MAX;
@@ -208,19 +212,24 @@ pub(crate) fn merge_within(
         Shortcuts {
             quotient: true,
             bound: true,
+            memo_slots: MEMO_SLOTS,
         },
         cores,
     )
 }
 
-/// The search's two exact shortcuts. Switching both off gives the
-/// reference search, which routes every candidate in full.
+/// The search's exact shortcuts. Switching `quotient` and `bound` off
+/// gives the reference search, which routes every candidate in full.
 #[derive(Clone, Copy)]
 struct Shortcuts {
     /// Route one first-step candidate per reflection orbit (DESIGN.md §12).
     quotient: bool,
     /// Stop routing a candidate once it cannot make the beam (DESIGN.md §13).
     bound: bool,
+    /// Capacity of a beam chunk's footprint memo, in channel slots
+    /// ([`MEMO_SLOTS`] outside tests). It changes how often a node pair's
+    /// stencil is translated, never a score.
+    memo_slots: usize,
 }
 
 /// [`merge_within`] with a choice of [`Shortcuts`].
@@ -305,21 +314,6 @@ fn merge_with(
         })
         .collect();
 
-    // child index of each cluster inside the parent (UNSET = outside)
-    let mut child_of = vec![UNSET; nclusters];
-    for (i, c) in children.iter().enumerate() {
-        for &(m, _) in &c.block.members {
-            child_of[m as usize] = i;
-        }
-    }
-    // flows fully inside the parent
-    let local_flows: Vec<(Rank, Rank, f64)> = graph
-        .flows()
-        .iter()
-        .filter(|f| child_of[f.src as usize] != UNSET && child_of[f.dst as usize] != UNSET)
-        .map(|f| (f.src, f.dst, f.bytes))
-        .collect();
-
     // Precompute member node positions for every (child, orientation).
     let positions: Vec<Vec<Vec<(Rank, NodeId)>>> = children
         .iter()
@@ -341,6 +335,25 @@ fn merge_with(
 
     // Merge order: decreasing average pairwise MCL (identity orientations).
     let order = merge_order(topo, graph, children, opts.routing, stencils);
+
+    // The flows each step adds, in graph order: a flow inside the parent
+    // joins the step that places the later of its two children. The first
+    // step places the first two children, so it holds every flow inside
+    // them; a later step holds the flows between its child and the
+    // children already placed, and those inside its child.
+    let mut step_of = vec![UNSET; nclusters];
+    for (step, &c) in order.iter().enumerate() {
+        for &(m, _) in &children[c].block.members {
+            step_of[m as usize] = step.max(1);
+        }
+    }
+    let mut step_flows: Vec<Vec<(Rank, Rank, f64)>> = vec![Vec::new(); children.len()];
+    for f in graph.flows() {
+        let (ss, sd) = (step_of[f.src as usize], step_of[f.dst as usize]);
+        if ss != UNSET && sd != UNSET {
+            step_flows[ss.max(sd)].push((f.src, f.dst, f.bytes));
+        }
+    }
 
     opts.recorder.add(
         counters::MERGE_ORIENTATIONS,
@@ -364,8 +377,6 @@ fn merge_with(
         })
         .collect();
     let mut placed: Vec<usize> = vec![a];
-    // children whose flows among themselves the entries' loads hold
-    let mut routed = vec![false; children.len()];
 
     let keep = opts.beam_width.max(1);
     let mut width_of = vec![1.0f64; topo.num_channel_slots()];
@@ -394,23 +405,7 @@ fn merge_with(
                 break;
             }
         }
-        // flows with both endpoints placed after this step that the
-        // entries' loads do not hold yet: on the first step every flow
-        // inside the pair, later the flows incident to `next`
-        let in_step: Vec<bool> = {
-            let mut m = vec![false; children.len()];
-            for &p in placed.iter().chain([&next]) {
-                m[p] = true;
-            }
-            m
-        };
-        let incident: Vec<&(Rank, Rank, f64)> = local_flows
-            .iter()
-            .filter(|&&(s, d, _)| {
-                let (cs, cd) = (child_of[s as usize], child_of[d as usize]);
-                in_step[cs] && in_step[cd] && !(routed[cs] && routed[cd])
-            })
-            .collect();
+        let incident = &step_flows[step];
         let n_orient = orient_sets[next].len();
         // The first step's entries are `a`'s orientations in order, so a
         // reflection fixing both boxes acts on candidate `entry · n_orient
@@ -444,7 +439,10 @@ fn merge_with(
         let reps: Vec<usize> = (0..n_cand).filter(|&i| rep_of(i) == i).collect();
         let score_chunk = |chunk: &[usize], mut cut: Option<CutLine>| {
             let mut node_of = vec![UNPLACED; nclusters];
-            let mut scratch = ChannelLoads::new(topo);
+            // the loads a candidate's flows add, and the slots they touch
+            let mut scratch = vec![0.0f64; topo.num_channel_slots()];
+            let mut touched: Vec<u32> = Vec::new();
+            let mut memo = FootprintMemo::new(shortcuts.memo_slots);
             let mut out = Vec::with_capacity(chunk.len());
             let mut pruned = 0usize;
             let mut placed_entry = UNSET;
@@ -472,7 +470,9 @@ fn merge_with(
                     node_of[m as usize] = nd;
                 }
                 let base = entry.loads.as_ref().unwrap_or(&zero);
-                scratch.clear();
+                for slot in touched.drain(..) {
+                    scratch[slot as usize] = 0.0;
+                }
                 // incremental MCL: untouched channels keep the entry's
                 // loads, and a touched channel's load only grows, so the
                 // running max is a lower bound at every flow boundary and
@@ -483,24 +483,29 @@ fn merge_with(
                     if mcl >= threshold {
                         break true;
                     }
-                    let Some(&&(s, d, bytes)) = flows.next() else {
+                    let Some(&(s, d, bytes)) = flows.next() else {
                         break false;
                     };
-                    stencils.for_each_load(
-                        topo,
-                        opts.routing,
-                        node_of[s as usize],
-                        node_of[d as usize],
-                        bytes,
-                        |slot, v| {
-                            scratch.add(slot, v);
-                            let load =
-                                (base.get(slot) + scratch.get(slot)) / width_of[slot as usize];
-                            if load > mcl {
-                                mcl = load;
-                            }
-                        },
-                    );
+                    let (src, dst) = (node_of[s as usize], node_of[d as usize]);
+                    if src == dst || bytes == 0.0 {
+                        continue;
+                    }
+                    let (slots, fracs, variants) =
+                        memo.footprint(stencils, topo, opts.routing, src, dst);
+                    // the value `for_each_load` would visit, bit for bit
+                    let weight = bytes / variants as f64;
+                    for (&slot, &frac) in slots.iter().zip(fracs) {
+                        let acc = &mut scratch[slot as usize];
+                        // loads are positive: a slot that reads zero is new
+                        if *acc == 0.0 {
+                            touched.push(slot);
+                        }
+                        *acc += weight * frac;
+                        let load = (base.get(slot) + *acc) / width_of[slot as usize];
+                        if load > mcl {
+                            mcl = load;
+                        }
+                    }
                 };
                 if cut_off {
                     pruned += 1;
@@ -567,7 +572,7 @@ fn merge_with(
                 }
                 None => base.clone(),
             };
-            for &&(s, d, bytes) in &incident {
+            for &(s, d, bytes) in incident {
                 stencils.route_flow(
                     topo,
                     opts.routing,
@@ -598,9 +603,6 @@ fn merge_with(
         let evicted = std::mem::replace(&mut beam, new_beam);
         pool.extend(evicted.into_iter().filter_map(|e| e.loads));
         placed.push(next);
-        for &p in &placed {
-            routed[p] = true;
-        }
     }
 
     // best entry -> composed parent block; children the (possibly
@@ -669,6 +671,100 @@ fn merge_with(
         candidates_pruned,
         symmetry_skipped,
         deadline_hit,
+    }
+}
+
+/// Channel slots a beam chunk's [`FootprintMemo`] holds before it starts
+/// over. The machine-wide slice merge routes thousands of distinct node
+/// pairs in one chunk and reuses few of them, so an unbounded memo would
+/// hold every footprint the chunk routes.
+const MEMO_SLOTS: usize = 1 << 16;
+
+/// The translated footprints of the node pairs one beam chunk has routed
+/// (DESIGN.md §10). The candidates of a chunk route the same few node
+/// pairs many times over, so each pair's stencil is translated into
+/// absolute channel slots once and replayed from here. When the slots
+/// reach the capacity, the next new pair empties the memo first.
+struct FootprintMemo<'c> {
+    capacity: usize,
+    slots: Vec<u32>,
+    /// keyed by `src << 32 | dst`
+    pairs: HashMap<u64, Memoized<'c>, BuildHasherDefault<PairHasher>>,
+}
+
+/// One node pair's footprint in a [`FootprintMemo`].
+#[derive(Clone, Copy)]
+struct Memoized<'c> {
+    /// its channel slots are `slots[start..end]`
+    start: u32,
+    end: u32,
+    /// the stencil's per-entry fractions
+    fracs: &'c [f64],
+    variants: u32,
+}
+
+/// Hashes a node pair packed into a `u64` with one multiply, mixing the
+/// high bits down because the table indexes by the low ones.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+impl<'c> FootprintMemo<'c> {
+    fn new(capacity: usize) -> Self {
+        FootprintMemo {
+            capacity,
+            slots: Vec::new(),
+            pairs: HashMap::default(),
+        }
+    }
+
+    /// The footprint of the flow `src → dst` (`src != dst`), as
+    /// [`RouteStencilCache::footprint`] returns it: its channel slots,
+    /// the stencil's fractions and its variant count.
+    fn footprint(
+        &mut self,
+        stencils: &'c RouteStencilCache,
+        topo: &Torus,
+        routing: Routing,
+        src: NodeId,
+        dst: NodeId,
+    ) -> (&[u32], &'c [f64], u32) {
+        let key = u64::from(src) << 32 | u64::from(dst);
+        let known = match self.pairs.get(&key) {
+            Some(&known) => known,
+            None => {
+                if self.slots.len() >= self.capacity {
+                    self.slots.clear();
+                    self.pairs.clear();
+                }
+                let start = self.slots.len() as u32;
+                let (fracs, variants) =
+                    stencils.footprint(topo, routing, src, dst, &mut self.slots);
+                let known = Memoized {
+                    start,
+                    end: self.slots.len() as u32,
+                    fracs,
+                    variants,
+                };
+                self.pairs.insert(key, known);
+                known
+            }
+        };
+        let slots = &self.slots[known.start as usize..known.end as usize];
+        (slots, known.fracs, known.variants)
     }
 }
 
@@ -1304,18 +1400,20 @@ mod tests {
     const FULL: Shortcuts = Shortcuts {
         quotient: false,
         bound: false,
+        memo_slots: MEMO_SLOTS,
     };
     const QUOTIENT: Shortcuts = Shortcuts {
         quotient: true,
-        bound: false,
+        ..FULL
     };
     const BOUND: Shortcuts = Shortcuts {
-        quotient: false,
         bound: true,
+        ..FULL
     };
     const BOTH: Shortcuts = Shortcuts {
         quotient: true,
         bound: true,
+        ..FULL
     };
 
     impl Case {
@@ -1352,17 +1450,6 @@ mod tests {
             if !shortcuts.bound {
                 assert_eq!(fast.candidates_pruned, 0);
             }
-            let summary = |r: &MergeResult| {
-                (
-                    r.block.members.clone(),
-                    r.mcl.to_bits(),
-                    r.candidates_evaluated,
-                    r.candidates_kept,
-                    r.candidates_pruned,
-                    r.symmetry_skipped,
-                    r.deadline_hit,
-                )
-            };
             if shortcuts.bound {
                 for cores in [2, 3, 8] {
                     let other = self.merge(opts, shortcuts, cores);
@@ -1392,6 +1479,21 @@ mod tests {
             );
             both.candidates_pruned
         }
+    }
+
+    /// Everything a merge returns, with the MCL as bits.
+    type Summary = (Vec<(Rank, Coord)>, u64, usize, usize, usize, usize, bool);
+
+    fn summary(r: &MergeResult) -> Summary {
+        (
+            r.block.members.clone(),
+            r.mcl.to_bits(),
+            r.candidates_evaluated,
+            r.candidates_kept,
+            r.candidates_pruned,
+            r.symmetry_skipped,
+            r.deadline_hit,
+        )
     }
 
     /// A random case: 1–5 dimensions of extent 1–4, each wrapped or not
@@ -1596,6 +1698,42 @@ mod tests {
                 case.assert_bound_exact(&opts) > 0,
                 "the cut line never fired"
             );
+        }
+    }
+
+    #[test]
+    fn footprint_memo_capacity_changes_no_result() {
+        // A memo that keeps no pair (0) or at most one (1) starts over on
+        // nearly every new pair; the merge must not notice.
+        let mut cases: Vec<Case> = (0..24)
+            .map(|seed| random_case(seed, seed % 2 == 0))
+            .collect();
+        cases.push(Case {
+            topo: Torus::mesh(&[4, 4]),
+            graph: patterns::random(16, 40, 1.0, 10.0, 11),
+            children: quadrant_children(),
+            parent_origin: c(&[0, 0]),
+            parent_extent: c(&[4, 4]),
+        });
+        for case in &cases {
+            for routing in [Routing::UniformMinimal, Routing::DimOrder] {
+                for beam_width in [1, 64] {
+                    let opts = MergeOptions {
+                        beam_width,
+                        routing,
+                        ..Default::default()
+                    };
+                    let default = summary(&case.merge(&opts, BOTH, 2));
+                    for memo_slots in [0, 1] {
+                        let small = Shortcuts { memo_slots, ..BOTH };
+                        assert_eq!(
+                            summary(&case.merge(&opts, small, 2)),
+                            default,
+                            "memo of {memo_slots} slots, {routing:?}, beam {beam_width}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -182,36 +182,16 @@ impl RouteStencilCache {
         &self.coords[node as usize * n..][..n]
     }
 
-    /// Visits each `(channel slot, load value)` of one flow, through the
-    /// cache, in exactly the order the direct router deposits them.
-    /// `src == dst` and zero-byte flows visit nothing.
-    ///
-    /// The channel slot is computed by integer translation: per dimension
-    /// `v = src[d] + off[d]` with a single conditional ±k wrap (valid
-    /// because offsets of a minimal path lie in `(-k, k)`), then
-    /// `node = Σ v_d · stride_d` and `slot = node·2n + sub`. Minimality
-    /// also guarantees the channel exists, so no per-entry validity check
-    /// is needed.
+    /// The stencil of the flow `src → dst` (`src != dst`) under
+    /// `routing`, built on the first lookup of its class.
     #[inline]
-    pub fn for_each_load(
-        &self,
-        topo: &Torus,
-        routing: Routing,
-        src: NodeId,
-        dst: NodeId,
-        bytes: f64,
-        mut visit: impl FnMut(u32, f64),
-    ) {
+    fn stencil(&self, topo: &Torus, routing: Routing, src: NodeId, dst: NodeId) -> &Stencil {
         debug_assert!(
             self.matches(topo),
             "stencil cache bound to a different topology"
         );
-        if src == dst || bytes == 0.0 {
-            return;
-        }
-        let src_coord = self.coord(src);
         let mut class = 0usize;
-        for ((a, &s), &t) in self.axes.iter().zip(src_coord).zip(self.coord(dst)) {
+        for ((a, &s), &t) in self.axes.iter().zip(self.coord(src)).zip(self.coord(dst)) {
             let raw = i32::from(t) - i32::from(s);
             let digit = match (a.wrap, raw < 0) {
                 (true, true) => raw + a.k,
@@ -224,18 +204,30 @@ impl RouteStencilCache {
         self.lookups[COUNTER_SLOT.with(|&slot| slot)]
             .0
             .fetch_add(1, Ordering::Relaxed);
-        let stencil = cell.get_or_init(|| {
+        cell.get_or_init(|| {
             self.misses.fetch_add(1, Ordering::Relaxed);
             let mut disp = [(0i32, false); MAX_DIMS];
             let n = topo.displacement_into(src, dst, &mut disp);
             Box::new(Stencil::build(routing, &disp[..n]))
-        });
+        })
+    }
 
+    /// The absolute channel slots of `stencil`'s entries for a flow from
+    /// `src`, in entry order.
+    ///
+    /// The channel slot is computed by integer translation: per dimension
+    /// `v = src[d] + off[d]` with a single conditional ±k wrap (valid
+    /// because offsets of a minimal path lie in `(-k, k)`), then
+    /// `node = Σ v_d · stride_d` and `slot = node·2n + sub`. Minimality
+    /// also guarantees the channel exists, so no per-entry validity check
+    /// is needed.
+    #[inline]
+    fn slots<'s>(&'s self, stencil: &'s Stencil, src: NodeId) -> impl Iterator<Item = u32> + 's {
         let n = self.axes.len();
         let two_n = (2 * n) as u32;
-        let weight = bytes / stencil.variants as f64;
-        let entries = stencil.subs.iter().zip(&stencil.fracs);
-        for ((&sub, &frac), off) in entries.zip(stencil.offsets.chunks_exact(n)) {
+        let src_coord = self.coord(src);
+        let offsets = stencil.offsets.chunks_exact(n);
+        stencil.subs.iter().zip(offsets).map(move |(&sub, off)| {
             let mut node = 0u32;
             for ((a, &s), &o) in self.axes.iter().zip(src_coord).zip(off) {
                 let mut v = i32::from(s) + o;
@@ -246,8 +238,56 @@ impl RouteStencilCache {
                 }
                 node += v as u32 * a.stride;
             }
-            visit(node * two_n + sub, weight * frac);
+            node * two_n + sub
+        })
+    }
+
+    /// Visits each `(channel slot, load value)` of one flow, through the
+    /// cache, in exactly the order the direct router deposits them.
+    /// `src == dst` and zero-byte flows visit nothing.
+    #[inline]
+    pub fn for_each_load(
+        &self,
+        topo: &Torus,
+        routing: Routing,
+        src: NodeId,
+        dst: NodeId,
+        bytes: f64,
+        mut visit: impl FnMut(u32, f64),
+    ) {
+        if src == dst || bytes == 0.0 {
+            return;
         }
+        let stencil = self.stencil(topo, routing, src, dst);
+        let weight = bytes / stencil.variants as f64;
+        for (slot, &frac) in self.slots(stencil, src).zip(&stencil.fracs) {
+            visit(slot, weight * frac);
+        }
+    }
+
+    /// The footprint of the flow `src → dst` with its translation done:
+    /// appends the channel slots [`Self::for_each_load`] visits, in its
+    /// order, to `slots` and returns the stencil's per-entry fractions
+    /// and its variant count. A flow of `bytes` loads the `i`-th appended
+    /// slot with `bytes / variants as f64 * fracs[i]`, bit for bit what
+    /// `for_each_load` visits. `src == dst` appends nothing.
+    ///
+    /// A caller that routes the same node pair many times keeps the slots
+    /// and replays them, translating the stencil once.
+    pub fn footprint(
+        &self,
+        topo: &Torus,
+        routing: Routing,
+        src: NodeId,
+        dst: NodeId,
+        slots: &mut Vec<u32>,
+    ) -> (&[f64], u32) {
+        if src == dst {
+            return (&[], 1);
+        }
+        let stencil = self.stencil(topo, routing, src, dst);
+        slots.extend(self.slots(stencil, src));
+        (&stencil.fracs, stencil.variants)
     }
 
     /// Cache-accelerated drop-in for [`crate::route_flow`]: bit-identical
@@ -558,6 +598,49 @@ mod tests {
             for routing in [Routing::DimOrder, Routing::UniformMinimal] {
                 assert_flows_bit_identical(&t, &cache, routing, &flows);
                 assert_flows_bit_identical(&t, &cache, routing, &flows);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Differential: a flow's footprint, replayed as `bytes / variants
+        /// * frac`, is the `(slot, value)` sequence `for_each_load` visits,
+        /// bit for bit, under both routing models, on random
+        /// all-wrapped, all-mesh and mixed shapes (wrapped extent-2
+        /// dimensions become double-wide mesh ones). `src == dst` gives
+        /// nothing on either path.
+        #[test]
+        fn footprint_replays_for_each_load(seed in 0u64..u64::MAX, wraps in 0u8..3) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..6);
+            let dims: Vec<u16> = (0..n).map(|_| rng.gen_range(1..7)).collect();
+            let wraps: Vec<bool> = (0..n).map(|_| wraps == 1 || (wraps == 2 && rng.gen())).collect();
+            let t = Torus::with_wraps(&dims, &wraps);
+            let cache = RouteStencilCache::new(&t);
+            let nodes = t.num_nodes();
+            for _ in 0..rng.gen_range(1..40) {
+                let src = rng.gen_range(0..nodes);
+                let dst = if rng.gen_bool(0.2) { src } else { rng.gen_range(0..nodes) };
+                let bytes = rng.gen_range(0.1..50.0);
+                for routing in [Routing::DimOrder, Routing::UniformMinimal] {
+                    let mut visited = Vec::new();
+                    cache.for_each_load(&t, routing, src, dst, bytes, |slot, v| {
+                        visited.push((slot, v.to_bits()));
+                    });
+                    // appends after what the buffer already holds
+                    let mut slots = vec![u32::MAX];
+                    let (fracs, variants) = cache.footprint(&t, routing, src, dst, &mut slots);
+                    prop_assert_eq!(slots[0], u32::MAX);
+                    prop_assert_eq!(slots.len() - 1, fracs.len());
+                    let replayed: Vec<(u32, u64)> = slots[1..]
+                        .iter()
+                        .zip(fracs)
+                        .map(|(&slot, &frac)| (slot, (bytes / variants as f64 * frac).to_bits()))
+                        .collect();
+                    prop_assert_eq!(replayed, visited);
+                }
             }
         }
     }
