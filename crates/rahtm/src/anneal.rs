@@ -11,7 +11,7 @@
 use rahtm_commgraph::CommGraph;
 use rahtm_lp::Deadline;
 use rahtm_obs::{counters, Recorder};
-use rahtm_routing::{IncrementalLoads, RouteStencilCache, Routing};
+use rahtm_routing::{ChannelLoads, RouteStencilCache, Routing};
 use rahtm_topology::{NodeId, Torus};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,11 +105,19 @@ pub fn anneal_map(cube: &Torus, graph: &CommGraph, opts: &AnnealOptions) -> Anne
             &local_cache
         }
     };
-    // Persistent routed state: a proposal re-routes only the flows
-    // incident to the moved clusters (O(degree), not O(flows)),
-    // bit-identical to re-routing the whole graph from scratch.
-    let mut inc = IncrementalLoads::new(cube, graph, &placement, opts.routing, stencils);
-    let mut cur = inc.mcl();
+    // A proposal re-routes the whole graph into one reused accumulator,
+    // `route_graph` bit for bit. The pipeline's sub-problems have at most
+    // 2^n clusters, where that costs less than per-channel delta
+    // bookkeeping.
+    // `chan_widths` is `ChannelLoads::mcl`'s scan order, built once
+    // instead of walking `cube.channels()` per proposal.
+    let chan_widths: Vec<(u32, f64)> = cube.channels().map(|ch| (ch.id, ch.width)).collect();
+    let mut loads = ChannelLoads::new(cube);
+    let mut score = |placement: &[NodeId]| {
+        stencils.route_graph_into(cube, graph, placement, opts.routing, &mut loads);
+        width_max(&loads, &chan_widths)
+    };
+    let mut cur = score(&placement);
     let mut best = cur;
     let mut best_placement = placement.clone();
 
@@ -147,25 +155,13 @@ pub fn anneal_map(cube: &Torus, graph: &CommGraph, opts: &AnnealOptions) -> Anne
             temp *= cool;
             continue;
         }
-        // apply, then stage the moved clusters' re-routes: live state is
-        // untouched until commit, so a reject needs no routing back
-        contents.swap(va, vb);
-        let mut moved = [0u32; 2];
-        let mut n = 0;
-        for vx in [va, vb] {
-            if let Some(c) = contents[vx] {
-                placement[c as usize] = vx as NodeId;
-                moved[n] = c;
-                n += 1;
-            }
-        }
-        let cand = inc.stage_moves(&placement, &moved[..n]);
+        swap_vertices(&mut contents, &mut placement, va, vb);
+        let cand = score(&placement);
         let accept = cand <= cur || {
             let p = ((cur - cand) / temp).exp();
             rng.gen::<f64>() < p
         };
         if accept {
-            inc.commit();
             accepted += 1;
             cur = cand;
             if cand < best {
@@ -173,15 +169,8 @@ pub fn anneal_map(cube: &Torus, graph: &CommGraph, opts: &AnnealOptions) -> Anne
                 best_placement.copy_from_slice(&placement);
             }
         } else {
-            inc.discard();
             rejected += 1;
-            // revert the placement bookkeeping (the loads never changed)
-            contents.swap(va, vb);
-            for vx in [va, vb] {
-                if let Some(c) = contents[vx] {
-                    placement[c as usize] = vx as NodeId;
-                }
-            }
+            swap_vertices(&mut contents, &mut placement, va, vb);
         }
         temp *= cool;
     }
@@ -200,6 +189,31 @@ pub fn anneal_map(cube: &Torus, graph: &CommGraph, opts: &AnnealOptions) -> Anne
         accepted,
         rejected,
     }
+}
+
+/// Swaps the contents of vertices `va` and `vb` and moves their clusters
+/// in `placement` along.
+fn swap_vertices(contents: &mut [Option<u32>], placement: &mut [NodeId], va: usize, vb: usize) {
+    contents.swap(va, vb);
+    for vx in [va, vb] {
+        if let Some(c) = contents[vx] {
+            placement[c as usize] = vx as NodeId;
+        }
+    }
+}
+
+/// Width-normalized maximum of `loads` over `chan_widths`, scanned in
+/// order: bit for bit `ChannelLoads::mcl` when the list is the topology's
+/// `(slot, width)` channel list.
+fn width_max(loads: &ChannelLoads, chan_widths: &[(u32, f64)]) -> f64 {
+    let mut max = 0.0f64;
+    for &(slot, w) in chan_widths {
+        let v = loads.get(slot) / w;
+        if v > max {
+            max = v;
+        }
+    }
+    max
 }
 
 #[cfg(test)]
@@ -279,27 +293,42 @@ mod tests {
     }
 
     #[test]
-    fn incremental_scoring_is_bit_identical_to_scratch() {
-        // The incremental evaluator must report exactly the MCL a full
-        // re-route would: same best placement, bit-equal best MCL, and a
-        // shared external cache must not perturb either.
+    fn reroute_scoring_is_bit_identical_to_route_graph() {
+        // Every proposal is scored by re-routing through the stencil
+        // cache; the best MCL must be exactly the direct router's for the
+        // returned placement, under both routing models, on a full cube
+        // and on one with empty vertices (moves onto an empty vertex), and
+        // a shared external cache must perturb neither placement nor MCL.
         let cube = Torus::two_ary_cube(4);
-        let g = patterns::random(16, 60, 1.0, 30.0, 21);
-        let r = anneal_map(&cube, &g, &AnnealOptions::default());
-        let check = route_graph(&cube, &g, &r.placement, Routing::UniformMinimal).mcl(&cube);
-        assert_eq!(r.mcl, check, "anneal MCL must be bit-identical to scratch");
-        let shared = Arc::new(RouteStencilCache::new(&cube));
-        let r2 = anneal_map(
-            &cube,
-            &g,
-            &AnnealOptions {
-                stencils: Some(Arc::clone(&shared)),
-                ..Default::default()
-            },
-        );
-        assert_eq!(r.placement, r2.placement);
-        assert_eq!(r.mcl, r2.mcl);
-        assert!(shared.hits() > 0);
+        for routing in [Routing::UniformMinimal, Routing::DimOrder] {
+            for clusters in [16u32, 11] {
+                let g = patterns::random(clusters, 60, 1.0, 30.0, 21);
+                let opts = AnnealOptions {
+                    routing,
+                    ..Default::default()
+                };
+                let r = anneal_map(&cube, &g, &opts);
+                let check = route_graph(&cube, &g, &r.placement, routing).mcl(&cube);
+                assert_eq!(
+                    r.mcl.to_bits(),
+                    check.to_bits(),
+                    "{routing:?}, {clusters} clusters: anneal MCL {} vs route_graph {check}",
+                    r.mcl
+                );
+                let shared = Arc::new(RouteStencilCache::new(&cube));
+                let r2 = anneal_map(
+                    &cube,
+                    &g,
+                    &AnnealOptions {
+                        stencils: Some(Arc::clone(&shared)),
+                        ..opts
+                    },
+                );
+                assert_eq!(r.placement, r2.placement);
+                assert_eq!(r.mcl.to_bits(), r2.mcl.to_bits());
+                assert!(shared.hits() > 0);
+            }
+        }
     }
 
     use rahtm_commgraph::CommGraph;

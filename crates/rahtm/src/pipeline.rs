@@ -44,7 +44,7 @@ use rahtm_routing::{RouteStencilCache, Routing};
 use rahtm_topology::{BgqMachine, Coord, NodeId, SubCube, Torus};
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -587,48 +587,38 @@ impl RunContext<'_> {
         // the root level there is one block, at zero
         let mut pins: Vec<Vec<Coord>> = vec![vec![Coord::zero(nd)]; slices.len()];
         let depth = hierarchies.iter().map(Vec::len).max().unwrap_or(0);
-        // Phase 2 runs on a thread of its own. Pinned to one core,
-        // cg-1k-anneal's root anneal took 110 ms on the process's main
-        // thread and 103 ms on a spawned one, with any `MALLOC_*` setting.
-        // Phase 3 stays on the calling thread: on the main thread its
-        // merges reuse the memory that setup freed, and bt-16k-fast's peak
-        // RSS is 16.5 MB instead of 20.5 MB with the whole pass spawned.
-        let phase2 = || {
-            for level in 0..depth {
-                let cube = match level {
-                    0 => Torus::with_wraps(&vec![2u16; n_eff], &root_wraps),
-                    _ => Torus::two_ary_cube(n_eff),
-                };
-                let batch: Vec<_> = hierarchies
-                    .iter()
-                    .map(|levels| subproblems(levels, level))
-                    .collect();
-                let graphs: Vec<&CommGraph> = batch.iter().flatten().map(|(_, g)| g).collect();
-                let mut places = self.solve_level(cores, &cube, &graphs, solved).into_iter();
-                for ((levels, subs), pin) in hierarchies.iter().zip(&batch).zip(&mut pins) {
-                    if subs.is_empty() {
-                        continue;
-                    }
-                    let mut next =
-                        vec![Coord::zero(nd); levels[level].coarse_graph.num_ranks() as usize];
-                    for (parent, ((children, _), place)) in
-                        subs.iter().zip(places.by_ref()).enumerate()
-                    {
-                        assert_eq!(children.len(), branching as usize);
-                        for (&child, &vertex) in children.iter().zip(&place) {
-                            let v = embed_vertex(&cube, vertex, &active, nd);
-                            // inactive dims stay 0: both terms are 0 there
-                            let c = &mut next[child as usize];
-                            for d in 0..nd {
-                                c.set(d, pin[parent].get(d) * 2 + v.get(d));
-                            }
+        for level in 0..depth {
+            let cube = match level {
+                0 => Torus::with_wraps(&vec![2u16; n_eff], &root_wraps),
+                _ => Torus::two_ary_cube(n_eff),
+            };
+            let batch: Vec<_> = hierarchies
+                .iter()
+                .map(|levels| subproblems(levels, level))
+                .collect();
+            let graphs: Vec<&CommGraph> = batch.iter().flatten().map(|(_, g)| g).collect();
+            let mut places = self.solve_level(cores, &cube, &graphs, solved).into_iter();
+            for ((levels, subs), pin) in hierarchies.iter().zip(&batch).zip(&mut pins) {
+                if subs.is_empty() {
+                    continue;
+                }
+                let mut next =
+                    vec![Coord::zero(nd); levels[level].coarse_graph.num_ranks() as usize];
+                for (parent, ((children, _), place)) in subs.iter().zip(places.by_ref()).enumerate()
+                {
+                    assert_eq!(children.len(), branching as usize);
+                    for (&child, &vertex) in children.iter().zip(&place) {
+                        let v = embed_vertex(&cube, vertex, &active, nd);
+                        // inactive dims stay 0: both terms are 0 there
+                        let c = &mut next[child as usize];
+                        for d in 0..nd {
+                            c.set(d, pin[parent].get(d) * 2 + v.get(d));
                         }
                     }
-                    *pin = next;
                 }
+                *pin = next;
             }
-        };
-        std::thread::scope(|scope| scope.spawn(phase2).join()).unwrap_or_else(|p| resume_unwind(p));
+        }
         rec.record_span_secs(spans::MILP, t1.elapsed().as_secs_f64());
 
         // ---- Phase 3: bottom-up merge, one batch per side ----

@@ -23,6 +23,10 @@
 //!   through a call-local [`RouteStencilCache`] ([`placement_loads`]).
 //! * [`RouteStencilCache`] — per-displacement-class memoized routing, the
 //!   fast path of every whole-mapping score and of the mapper's hot loops.
+//!   Annealing and the polish score each proposal by re-routing the whole
+//!   graph into a reused accumulator
+//!   ([`RouteStencilCache::route_graph_into`]), the same loop in the same
+//!   add order as [`RouteStencilCache::route_graph`].
 //!
 //! The direct enumerators [`route_flow`] and [`route_graph`] are the
 //! reference implementation: the stencil cache replays their entries in
@@ -34,13 +38,11 @@
 #![deny(missing_docs)]
 
 pub mod adaptive;
-pub mod incremental;
 pub mod load;
 pub mod metrics;
 pub mod oblivious;
 pub mod stencil;
 
-pub use incremental::IncrementalLoads;
 pub use load::ChannelLoads;
 pub use metrics::{mapping_hop_bytes, mapping_mcl, placement_loads, MappingEval};
 pub use oblivious::{route_flow, route_graph, Routing};

@@ -1,11 +1,11 @@
-//! Exact-output pins for the two swap searches that score proposals
-//! incrementally: `anneal_map` (the MILP incumbent and the whole phase-2
-//! answer under `--fast`) and `polish_placement_with` (the post-pipeline
-//! swap descent). Both stage each proposal's incident flows through
-//! `IncrementalLoads`; any change to which flows are staged, their order
-//! or their stencil values moves a candidate MCL by a few ulps, flips an
-//! accept decision somewhere in the run, and shows up here as a different
-//! placement or MCL bit pattern.
+//! Exact-output pins for the two swap searches: `anneal_map` (the MILP
+//! incumbent and the whole phase-2 answer under `--fast`) and
+//! `polish_placement_with` (the post-pipeline swap descent). Both score
+//! each proposal by re-routing the whole graph through the stencil cache
+//! (`RouteStencilCache::route_graph_into`); any change to the flows
+//! routed, their add order, the max scan or the stencil values moves a
+//! candidate MCL by a few ulps, flips an accept decision somewhere in the
+//! run, and shows up here as a different placement or MCL bit pattern.
 //!
 //! Each search runs on one instance that fills its cube and one that
 //! leaves vertices empty (annealing then also moves single clusters onto
