@@ -13,8 +13,8 @@
 //!   anti-cycling fallback.
 //! * [`milp`] — one branch-and-bound over the simplex relaxation:
 //!   most-fractional branching, best-bound pruning, work-stealing workers
-//!   (any count, one included, with the same optimum) that warm-start each
-//!   node's LP from its parent's basis, warm incumbents (RAHTM seeds one
+//!   (any count, one included, with the same optimum) that solve each
+//!   node's LP fresh under its own bounds, warm incumbents (RAHTM seeds one
 //!   from simulated annealing), and deterministic node budgets alongside
 //!   optional wall-clock deadlines. With an exhausted budget the solver
 //!   returns the best incumbent — exactly how practitioners run CPLEX on

@@ -23,22 +23,17 @@
 //! load balance is pure stealing. Worker 0 runs on the calling thread and
 //! the others on scoped threads, so a one-worker solve spawns none.
 //!
-//! ## Why node results don't depend on interleaving
-//!
-//! Each node carries everything its LP solve depends on: the accumulated
-//! bound overrides *and* the parent's optimal basis, captured at branch
-//! time. A worker installs both into its private simplex scratch and
-//! repairs the basis with a bounded dual simplex, falling back to the full
-//! two-phase solve on any stall — both paths are pure functions of
-//! `(overrides, basis)`, so a node produces bit-identical
-//! `(status, objective, x)` no matter which worker runs it or when.
+//! Every node runs the full two-phase simplex under its accumulated bound
+//! overrides, in the worker's private simplex scratch, so a node's
+//! `(status, objective, x)` depends on its overrides alone, not on which
+//! worker runs it or when.
 //!
 //! ## Determinism rule
 //!
 //! The shared incumbent is ordered by `(objective, x)`: a candidate
 //! replaces the incumbent when its objective is strictly smaller, or equal
 //! with a lexicographically smaller solution vector. Combined with
-//! interleaving-independent node results, the returned optimum is
+//! node results that do not depend on the schedule, the returned optimum is
 //! bit-identical for any worker count whenever the true optimum is
 //! separated from the runner-up by more than `1e-9·max(|obj|, 1)` (the
 //! relative-gap pruning slack): every schedule then explores some node whose solution
@@ -49,11 +44,11 @@
 //! `nodes`/`best_bound` are diagnostics and may vary across schedules.
 
 use crate::problem::Problem;
-use crate::simplex::{BasisSnapshot, LpStatus, SimplexOptions, SimplexScratch};
+use crate::simplex::{LpStatus, SimplexOptions, SimplexScratch};
 use rahtm_obs::counters;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Integrality tolerance: a value within this of an integer is integral.
 const INT_TOL: f64 = 1e-6;
@@ -124,9 +119,6 @@ struct Node {
     overrides: Vec<(usize, f64, f64)>,
     /// LP bound inherited from the parent (prune before solving).
     parent_bound: f64,
-    /// Parent's optimal basis for the dual-simplex warm start (shared by
-    /// both children; `None` when the parent had no reusable basis).
-    snapshot: Option<Arc<BasisSnapshot>>,
 }
 
 /// Best-known integral solution, guarded by one mutex; `best_bits` mirrors
@@ -225,7 +217,6 @@ pub fn solve_milp(p: &Problem, opts: &MilpOptions) -> MilpResult {
     lock(&shared.deques[0]).push_back(Node {
         overrides: Vec::new(),
         parent_bound: f64::NEG_INFINITY,
-        snapshot: None,
     });
 
     let stats: Vec<WorkerStats> = std::thread::scope(|scope| {
@@ -340,9 +331,9 @@ fn drop_subtree(shared: &Shared<'_>, bound: f64, deadline: bool) {
     }
 }
 
-/// One node: deadline poll, bound prune, node-budget ticket, LP
-/// (re-)solve, then either an incumbent update or a branch pushing two
-/// children onto the local deque with the nearest-integer child on top.
+/// One node: deadline poll, bound prune, node-budget ticket, LP solve,
+/// then either an incumbent update or a branch pushing two children onto
+/// the local deque with the nearest-integer child on top.
 fn process(
     node: Node,
     local: &Mutex<VecDeque<Node>>,
@@ -374,10 +365,7 @@ fn process(
     }
 
     scratch.set_node_bounds(&node.overrides);
-    let (sol, polls) = match &node.snapshot {
-        Some(snap) => scratch.resolve_from_basis(snap, &opts.lp),
-        None => scratch.solve_fresh(&opts.lp),
-    };
+    let (sol, polls) = scratch.solve_fresh(&opts.lp);
     stats.lp_solves += 1;
     stats.pivots += sol.iterations as u64;
     stats.polls += polls as u64;
@@ -434,7 +422,6 @@ fn process(
         Some((j, v)) => {
             let floor = v.floor();
             let (node_lo, node_hi) = scratch.bounds(j);
-            let snapshot = scratch.snapshot().map(Arc::new);
             let child = |lo: f64, hi: f64| {
                 let mut overrides = node.overrides.clone();
                 overrides.push((j, lo, hi));
@@ -442,7 +429,6 @@ fn process(
                 Node {
                     overrides,
                     parent_bound: bound,
-                    snapshot: snapshot.clone(),
                 }
             };
             let lo_child = child(node_lo, floor);
@@ -812,11 +798,16 @@ mod tests {
     #[test]
     fn random_binary_problems_match_bruteforce() {
         let mut rng = StdRng::seed_from_u64(99);
-        for trial in 0..25 {
+        let trials = 25;
+        let mut one_worker_nodes = 0;
+        for trial in 0..trials {
             let (p, obj, rows) = random_binary_problem(&mut rng);
             let best = brute_force(p.num_cols(), &obj, &rows);
             for threads in THREADS {
                 let r = solve_milp(&p, &threaded(threads));
+                if threads == 1 {
+                    one_worker_nodes += r.nodes;
+                }
                 if best.is_finite() {
                     assert_eq!(
                         r.status,
@@ -837,6 +828,11 @@ mod tests {
                 }
             }
         }
+        // some trials branch, so the search is tested past the root
+        assert!(
+            one_worker_nodes > trials,
+            "{one_worker_nodes} nodes over {trials} trials"
+        );
     }
 
     /// The determinism property test named in CI: over random binary
@@ -845,9 +841,12 @@ mod tests {
     #[test]
     fn parallel_bnb_bit_identical_across_thread_counts() {
         let mut rng = StdRng::seed_from_u64(777);
-        for trial in 0..25 {
+        let trials = 25;
+        let mut one_worker_nodes = 0;
+        for trial in 0..trials {
             let (p, obj, rows) = random_binary_problem(&mut rng);
             let one = solve_milp(&p, &threaded(1));
+            one_worker_nodes += one.nodes;
             let brute = brute_force(p.num_cols(), &obj, &rows);
             if one.status == MilpStatus::Optimal {
                 assert!(
@@ -871,10 +870,15 @@ mod tests {
                 }
             }
         }
+        assert!(
+            one_worker_nodes > trials,
+            "{one_worker_nodes} nodes over {trials} trials"
+        );
     }
 
-    /// Assignment problems stress equality rows (phase-1-heavy warm
-    /// starts); four workers must agree with one on the permutation cost.
+    /// Assignment problems stress equality rows (phase 1 must drive an
+    /// artificial out of every row); four workers must agree with one on
+    /// the permutation cost.
     #[test]
     fn random_assignment_problems_match_one_worker() {
         let mut rng = StdRng::seed_from_u64(2024);

@@ -52,7 +52,8 @@ pub struct Solution {
 pub struct SimplexOptions {
     /// Pivot budget across both phases.
     pub max_iters: usize,
-    /// Wall-clock budget, polled every [`DEADLINE_CHECK_EVERY`] pivots.
+    /// Wall-clock budget, polled every [`DEADLINE_CHECK_EVERY`] pivots and
+    /// once per column of each basis refactorization.
     pub deadline: Deadline,
     /// Trace sink (disabled by default; counters are recorded once per
     /// solve, never per pivot).
@@ -262,13 +263,13 @@ impl Tableau {
         d
     }
 
-    /// Rebuilds B⁻¹ by Gauss–Jordan elimination and recomputes beta.
-    /// Returns false if the basis matrix is numerically singular.
-    fn refactorize(&mut self) -> bool {
+    /// Rebuilds B⁻¹ by Gauss–Jordan elimination and recomputes beta,
+    /// polling `deadline` once per eliminated column (each poll counted in
+    /// `polls`). Returns true when the deadline expired mid-elimination.
+    /// B⁻¹ and beta are then left as they were, as they are when the basis
+    /// matrix is numerically singular.
+    fn refactorize(&mut self, deadline: &Deadline, polls: &mut usize) -> bool {
         let m = self.m;
-        if m == 0 {
-            return true;
-        }
         // Build dense B and identity side-by-side.
         let mut b = vec![0.0f64; m * m];
         for (k, &j) in self.basis.iter().enumerate() {
@@ -281,6 +282,10 @@ impl Tableau {
             inv[k * m + k] = 1.0;
         }
         for col in 0..m {
+            *polls += 1;
+            if deadline.is_expired() {
+                return true;
+            }
             // partial pivot
             let mut piv = col;
             let mut best = b[col * m + col].abs();
@@ -319,7 +324,7 @@ impl Tableau {
         }
         self.binv = inv;
         self.recompute_beta();
-        true
+        false
     }
 
     /// beta = B⁻¹ (rhs − A_N x_N).
@@ -370,8 +375,11 @@ impl Tableau {
                     return (LpStatus::TimeLimit, iters, polls);
                 }
             }
-            if iters > 0 && iters.is_multiple_of(self.refactor_every) {
-                self.refactorize();
+            if iters > 0
+                && iters.is_multiple_of(self.refactor_every)
+                && self.refactorize(&opts.deadline, &mut polls)
+            {
+                return (LpStatus::TimeLimit, iters, polls);
             }
             self.duals(cost, &mut y);
             // pricing
@@ -505,8 +513,7 @@ impl Tableau {
     }
 
     /// Elementary row update of B⁻¹ after column `w = B⁻¹·A_enter` pivots
-    /// on row `r`. Shared by the primal and dual iterations so both apply
-    /// bit-identical float operations.
+    /// on row `r`.
     fn pivot_binv(&mut self, r: usize, w: &[f64]) {
         let m = self.m;
         let wr = w[r];
@@ -655,199 +662,18 @@ impl Tableau {
     }
 }
 
-/// Outcome of the bounded dual-simplex repair loop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum DualStatus {
-    /// Primal feasibility restored (dual feasibility maintained).
-    Feasible,
-    /// A violated row admits no entering column: primal infeasible.
-    Infeasible,
-    /// Pivot budget or numerics exhausted; caller should solve fresh.
-    Stalled,
-    /// Wall-clock deadline expired.
-    TimeLimit,
-}
-
-impl Tableau {
-    /// Installs a parent-node basis: basis columns, nonbasic rest sides,
-    /// pinned artificials, then refactorizes B⁻¹ against the *current*
-    /// bounds. Returns false when the snapshot does not fit this tableau or
-    /// the basis matrix has gone singular — callers fall back to a fresh
-    /// two-phase solve, which is deterministic, so either path keeps node
-    /// results a pure function of (bounds, snapshot).
-    fn install_snapshot(&mut self, snap: &BasisSnapshot) -> bool {
-        let m = self.m;
-        let ns = self.n_struct;
-        if snap.basis.len() != m || snap.at_upper.len() != ns + m {
-            return false;
-        }
-        for j in 0..self.n_total {
-            self.basis_row[j] = NONBASIC;
-        }
-        self.basis.clear();
-        self.basis.extend_from_slice(&snap.basis);
-        for (r, &j) in self.basis.iter().enumerate() {
-            if j >= ns + m {
-                return false; // snapshots never contain artificials
-            }
-            self.basis_row[j] = r as u32;
-        }
-        self.at_upper[..ns + m].copy_from_slice(&snap.at_upper);
-        for j in ns + m..self.n_total {
-            // Artificials stay fixed at zero: never priced, never basic.
-            self.lower[j] = 0.0;
-            self.upper[j] = 0.0;
-            self.at_upper[j] = false;
-        }
-        // Defensive rest-side normalization: branching only ever tightens
-        // the bounds of a variable that was *basic* in the parent, so
-        // nonbasic rest bounds are unchanged in practice, but a snapshot is
-        // honored even if a nonbasic side became one-sided.
-        for j in 0..ns + m {
-            if self.basis_row[j] != NONBASIC {
-                continue;
-            }
-            if self.at_upper[j] && !self.upper[j].is_finite() {
-                self.at_upper[j] = false;
-            } else if !self.at_upper[j] && !self.lower[j].is_finite() && self.upper[j].is_finite() {
-                self.at_upper[j] = true;
-            }
-        }
-        self.beta = vec![0.0; m];
-        self.refactorize()
-    }
-
-    /// Bounded-variable dual simplex: starting from a dual-feasible basis
-    /// whose primal values may violate (tightened) bounds, repeatedly kicks
-    /// out the worst violator and enters the column with the smallest dual
-    /// ratio |d_j / α_j| (smallest index on ties — deterministic). Used to
-    /// repair a parent basis after branching instead of re-solving both
-    /// phases from scratch.
-    fn dual_iterate(&mut self, opts: &SimplexOptions, budget: usize) -> (DualStatus, usize, usize) {
-        let m = self.m;
-        let art_start = self.n_struct + m;
-        let mut y = vec![0.0; m];
-        let mut w = vec![0.0; m];
-        let mut rho = vec![0.0; m];
-        let cost = self.cost.clone();
-        let mut iters = 0usize;
-        let mut polls = 0usize;
-        loop {
-            if iters.is_multiple_of(DEADLINE_CHECK_EVERY) {
-                polls += 1;
-                if opts.deadline.is_expired() {
-                    return (DualStatus::TimeLimit, iters, polls);
-                }
-            }
-            // Leaving row: worst primal bound violation.
-            let mut leave: Option<(usize, f64, bool)> = None; // (row, violation, above upper?)
-            for k in 0..m {
-                let j = self.basis[k];
-                if self.beta[k] < self.lower[j] - FEAS_TOL {
-                    let v = self.lower[j] - self.beta[k];
-                    if leave.is_none_or(|(_, bv, _)| v > bv) {
-                        leave = Some((k, v, false));
-                    }
-                } else if self.beta[k] > self.upper[j] + FEAS_TOL {
-                    let v = self.beta[k] - self.upper[j];
-                    if leave.is_none_or(|(_, bv, _)| v > bv) {
-                        leave = Some((k, v, true));
-                    }
-                }
-            }
-            let Some((r, _, above)) = leave else {
-                return (DualStatus::Feasible, iters, polls);
-            };
-            if iters >= budget {
-                return (DualStatus::Stalled, iters, polls);
-            }
-            self.duals(&cost, &mut y);
-            rho.copy_from_slice(&self.binv[r * m..(r + 1) * m]);
-            // Entering column: dual ratio test over eligible nonbasics.
-            let mut enter: Option<(usize, f64)> = None; // (col, ratio)
-            for j in 0..art_start {
-                if self.basis_row[j] != NONBASIC || self.lower[j] == self.upper[j] {
-                    continue;
-                }
-                let mut alpha = 0.0;
-                for &(row, a) in &self.cols[j] {
-                    alpha += rho[row] * a;
-                }
-                if alpha.abs() <= 1e-9 {
-                    continue;
-                }
-                let at_up = self.at_upper[j];
-                let free = !self.lower[j].is_finite() && !self.upper[j].is_finite();
-                // above upper => x_B[r] must decrease; below lower => increase.
-                // An at-lower column may only increase (changing x_B[r] by
-                // −α·t), an at-upper column may only decrease (+α·t).
-                let eligible = if above {
-                    free || (!at_up && alpha > 0.0) || (at_up && alpha < 0.0)
-                } else {
-                    free || (!at_up && alpha < 0.0) || (at_up && alpha > 0.0)
-                };
-                if !eligible {
-                    continue;
-                }
-                let d = self.reduced_cost(&cost, &y, j);
-                let ratio = (d / alpha).abs();
-                let better = match enter {
-                    None => true,
-                    Some((bj, br)) => ratio < br - 1e-12 || (ratio < br + 1e-12 && j < bj),
-                };
-                if better {
-                    enter = Some((j, ratio));
-                }
-            }
-            let Some((j, _)) = enter else {
-                // Farkas certificate: the violated row cannot be repaired.
-                return (DualStatus::Infeasible, iters, polls);
-            };
-            self.ftran(j, &mut w);
-            if w[r].abs() < 1e-10 {
-                return (DualStatus::Stalled, iters, polls);
-            }
-            let leaving = self.basis[r];
-            self.pivot_binv(r, &w);
-            self.basis[r] = j;
-            self.basis_row[j] = r as u32;
-            self.basis_row[leaving] = NONBASIC;
-            self.at_upper[leaving] = above; // rest at the bound it violated
-            self.recompute_beta();
-            iters += 1;
-        }
-    }
-}
-
-/// An optimal basis captured after a node's LP solve, cheap to clone onto
-/// child branch-and-bound nodes. Holds the basic column of every row plus
-/// the rest side of every structural/slack column; artificial columns are
-/// never included (a snapshot is only taken when none is basic).
-#[derive(Clone, Debug)]
-pub(crate) struct BasisSnapshot {
-    basis: Vec<usize>,
-    at_upper: Vec<bool>,
-}
-
-/// Persistent simplex state for repeated node solves over one [`Problem`]
-/// whose *bounds* vary (branch-and-bound). Building the tableau, slacks,
-/// and artificials happens once; each node then either warm-starts from
-/// its parent's [`BasisSnapshot`] via [`SimplexScratch::resolve_from_basis`]
-/// (a bounded dual-simplex repair) or re-runs the full two-phase solve.
+/// Reusable simplex state for repeated node solves over one [`Problem`]
+/// whose *bounds* vary (branch-and-bound): one per worker. Building the
+/// tableau, slacks, and artificials happens once; each node installs its
+/// bounds and runs the full two-phase solve.
 ///
-/// Every entry point is a pure function of the installed bounds and the
-/// given snapshot — no hidden state leaks between solves — which is what
-/// lets the work-stealing branch-and-bound return interleaving-independent
-/// results.
+/// A solve reads nothing a previous solve left behind, so a node's result
+/// is a function of its bound overrides alone, whichever worker runs it.
 pub(crate) struct SimplexScratch {
     tab: Tableau,
     base_lower: Vec<f64>,
     base_upper: Vec<f64>,
 }
-
-/// Extra dual-repair pivots allowed beyond `4·m` before falling back to a
-/// fresh solve (repairing one branched bound typically takes 1–5 pivots).
-const DUAL_REPAIR_EXTRA_ITERS: usize = 32;
 
 impl SimplexScratch {
     /// Builds the persistent tableau for `p`; `p`'s bounds become the base
@@ -880,10 +706,10 @@ impl SimplexScratch {
         (self.tab.lower[j], self.tab.upper[j])
     }
 
-    /// Full two-phase solve under the currently installed bounds; restores
-    /// the artificial columns first so the pivot sequence is bit-identical
-    /// to a from-scratch [`solve_lp`] on the same problem+bounds. Returns
-    /// the solution and the number of deadline polls.
+    /// Two-phase solve under the currently installed bounds. The
+    /// artificial columns are restored first, so the pivot sequence is
+    /// bit-identical to a [`solve_lp`] of the same problem and bounds.
+    /// Returns the solution and the number of deadline polls.
     pub fn solve_fresh(&mut self, opts: &SimplexOptions) -> (Solution, usize) {
         let m = self.tab.m;
         for j in self.tab.n_struct + m..self.tab.n_total {
@@ -891,97 +717,6 @@ impl SimplexScratch {
             self.tab.upper[j] = f64::INFINITY;
         }
         self.tab.solve_core(opts)
-    }
-
-    /// Captures the current basis for reuse by child nodes, or `None` when
-    /// it cannot seed a dual repair (no rows, or an artificial is still
-    /// basic after a degenerate phase 1).
-    pub fn snapshot(&self) -> Option<BasisSnapshot> {
-        let m = self.tab.m;
-        let ns = self.tab.n_struct;
-        if m == 0 || self.tab.basis.len() != m {
-            return None;
-        }
-        if self.tab.basis.iter().any(|&j| j >= ns + m) {
-            return None;
-        }
-        Some(BasisSnapshot {
-            basis: self.tab.basis.clone(),
-            at_upper: self.tab.at_upper[..ns + m].to_vec(),
-        })
-    }
-
-    /// Warm-started node solve: installs `snap` (the parent's optimal
-    /// basis, dual-feasible for the child because branching only moved the
-    /// bounds of a then-basic column), repairs primal feasibility with the
-    /// bounded dual simplex, then lets the primal pricing loop confirm
-    /// optimality. Any stall, singular refactorization, or dual-side
-    /// infeasibility verdict falls back to [`SimplexScratch::solve_fresh`]
-    /// — the infeasibility fallback re-proves the verdict with phase 1
-    /// rather than trusting a tolerance-sensitive Farkas certificate, so a
-    /// warm solve can never prune a subtree a fresh solve would keep.
-    pub fn resolve_from_basis(
-        &mut self,
-        snap: &BasisSnapshot,
-        opts: &SimplexOptions,
-    ) -> (Solution, usize) {
-        if self.tab.m == 0 || !self.tab.install_snapshot(snap) {
-            return self.solve_fresh(opts);
-        }
-        let budget = (4 * self.tab.m + DUAL_REPAIR_EXTRA_ITERS).min(opts.max_iters);
-        let (ds, it1, polls1) = self.tab.dual_iterate(opts, budget);
-        match ds {
-            DualStatus::Feasible => {
-                let cost = self.tab.cost.clone();
-                let (s2, it2, polls2) =
-                    self.tab
-                        .iterate(&cost, opts, opts.max_iters.saturating_sub(it1), false);
-                match s2 {
-                    LpStatus::Optimal => {
-                        let x = self.tab.extract();
-                        let obj = self.tab.objective_of(&x);
-                        (
-                            Solution {
-                                status: LpStatus::Optimal,
-                                objective: obj,
-                                x,
-                                iterations: it1 + it2,
-                            },
-                            polls1 + polls2,
-                        )
-                    }
-                    LpStatus::TimeLimit => (
-                        Solution {
-                            status: LpStatus::TimeLimit,
-                            objective: f64::NAN,
-                            x: Vec::new(),
-                            iterations: it1 + it2,
-                        },
-                        polls1 + polls2,
-                    ),
-                    // A dual-feasible start cannot be unbounded (weak
-                    // duality); Unbounded or IterLimit here means numerics
-                    // drifted — re-solve from scratch, deterministically.
-                    _ => {
-                        let (sol, polls3) = self.solve_fresh(opts);
-                        (sol, polls1 + polls2 + polls3)
-                    }
-                }
-            }
-            DualStatus::TimeLimit => (
-                Solution {
-                    status: LpStatus::TimeLimit,
-                    objective: f64::NAN,
-                    x: Vec::new(),
-                    iterations: it1,
-                },
-                polls1,
-            ),
-            DualStatus::Infeasible | DualStatus::Stalled => {
-                let (sol, polls2) = self.solve_fresh(opts);
-                (sol, polls1 + polls2)
-            }
-        }
     }
 }
 
@@ -1291,6 +1026,68 @@ mod tests {
     }
 
     #[test]
+    fn refactorization_stops_at_an_expired_deadline() {
+        let mut p = Problem::new();
+        let x = p.add_col(0.0, f64::INFINITY, -1.0);
+        let y = p.add_col(0.0, f64::INFINITY, -2.0);
+        p.add_row(Sense::Ge, 1.0, &[(x, 1.0), (y, 1.0)]);
+        p.add_row(Sense::Le, 4.0, &[(x, 1.0), (y, 3.0)]);
+        let mut tab = Tableau::build(&p);
+        let (sol, _) = tab.solve_core(&SimplexOptions::default());
+        assert_eq!(sol.status, LpStatus::Optimal);
+        let (binv, beta) = (tab.binv.clone(), tab.beta.clone());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let mut polls = 0;
+        let expired = Deadline::after(std::time::Duration::ZERO);
+        assert!(tab.refactorize(&expired, &mut polls));
+        assert_eq!(polls, 1);
+        assert_eq!(bits(&tab.binv), bits(&binv));
+        assert_eq!(bits(&tab.beta), bits(&beta));
+
+        // without a limit it eliminates every column and reports no expiry
+        let mut polls = 0;
+        assert!(!tab.refactorize(&Deadline::never(), &mut polls));
+        assert_eq!(polls, 2);
+    }
+
+    /// Every pivot here brings a dense column into the basis of a
+    /// 1,500-row LP, and refactorizing after every pivot costs O(k·m²) for
+    /// k dense basic columns: the 64 pivots before the pivot loop's next
+    /// poll take seconds. The poll inside the elimination ends the solve
+    /// shortly after the deadline instead.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "timing test; run with --release")]
+    fn deadline_interrupts_refactorization() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (m, n) = (1500, 200);
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut p = Problem::new();
+        let cols: Vec<_> = (0..n)
+            .map(|_| p.add_col(0.0, f64::INFINITY, rng.gen_range(1.0..2.0)))
+            .collect();
+        for _ in 0..m {
+            let coeffs: Vec<_> = cols.iter().map(|&c| (c, rng.gen_range(0.5..1.5))).collect();
+            p.add_row(Sense::Ge, rng.gen_range(1.0..10.0), &coeffs);
+        }
+        let opts = SimplexOptions {
+            deadline: Deadline::after(std::time::Duration::from_millis(50)),
+            ..Default::default()
+        };
+        let start = std::time::Instant::now();
+        let s = solve_lp_refactoring_every(&p, &opts, 1);
+        let secs = start.elapsed().as_secs_f64();
+        assert_eq!(s.status, LpStatus::TimeLimit);
+        assert!(
+            s.iterations < DEADLINE_CHECK_EVERY,
+            "{} pivots",
+            s.iterations
+        );
+        assert!(secs < 0.5, "returned after {secs:.3} s");
+    }
+
+    #[test]
     fn equality_only_system_unique_point() {
         // 3 equations, 3 unknowns, unique solution: simplex must land on it
         let mut p = Problem::new();
@@ -1331,126 +1128,6 @@ mod tests {
         let (again, _) = scratch.solve_fresh(&opts);
         assert_eq!(again.objective.to_bits(), direct.objective.to_bits());
         assert_eq!(again.x, direct.x);
-    }
-
-    #[test]
-    fn resolve_from_basis_repairs_branched_bound() {
-        // LP relaxation of a knapsack: optimum fractional in one var; then
-        // branch that var both ways and check the warm re-solve equals a
-        // fresh solve of the tightened problem.
-        let mut p = Problem::new();
-        let a = p.add_col(0.0, 1.0, -5.0);
-        let b = p.add_col(0.0, 1.0, -4.0);
-        let c = p.add_col(0.0, 1.0, -3.0);
-        p.add_row(Sense::Le, 5.0, &[(a, 2.0), (b, 3.0), (c, 1.0)]);
-        let opts = SimplexOptions::default();
-        let mut scratch = SimplexScratch::new(&p);
-        scratch.set_node_bounds(&[]);
-        let (root, _) = scratch.solve_fresh(&opts);
-        assert_eq!(root.status, LpStatus::Optimal);
-        let snap = scratch.snapshot().expect("root basis snapshot");
-        // find the fractional column (b ends fractional: a=1,c=1,b=2/3)
-        let frac = (0..3)
-            .find(|&j| (root.x[j] - root.x[j].round()).abs() > 1e-6)
-            .expect("fractional var");
-        for (lo, hi) in [(0.0, 0.0), (1.0, 1.0)] {
-            scratch.set_node_bounds(&[(frac, lo, hi)]);
-            let (warm, _) = scratch.resolve_from_basis(&snap, &opts);
-            let mut tight = p.clone();
-            tight.lower[frac] = lo;
-            tight.upper[frac] = hi;
-            let fresh = solve_lp(&tight, &SimplexOptions::default());
-            assert_eq!(warm.status, LpStatus::Optimal);
-            assert_eq!(fresh.status, LpStatus::Optimal);
-            assert!(
-                (warm.objective - fresh.objective).abs() < 1e-9,
-                "branch {frac} to [{lo},{hi}]: warm {} vs fresh {}",
-                warm.objective,
-                fresh.objective
-            );
-            assert!(tight.is_feasible(&warm.x, 1e-6));
-            // and the repair really is cheaper than a two-phase solve
-            assert!(warm.iterations <= fresh.iterations);
-        }
-    }
-
-    #[test]
-    fn resolve_from_basis_detects_infeasible_child() {
-        // x + y = 2 with both branched to 0 is infeasible.
-        let mut p = Problem::new();
-        let x = p.add_col(0.0, 1.0, 1.0);
-        let y = p.add_col(0.0, 1.0, 2.0);
-        p.add_row(Sense::Eq, 2.0, &[(x, 1.0), (y, 1.0)]);
-        let opts = SimplexOptions::default();
-        let mut scratch = SimplexScratch::new(&p);
-        scratch.set_node_bounds(&[]);
-        let (root, _) = scratch.solve_fresh(&opts);
-        assert_eq!(root.status, LpStatus::Optimal);
-        let snap = scratch.snapshot().expect("snapshot");
-        scratch.set_node_bounds(&[(0, 0.0, 0.0), (1, 0.0, 0.0)]);
-        let (child, _) = scratch.resolve_from_basis(&snap, &opts);
-        assert_eq!(child.status, LpStatus::Infeasible);
-    }
-
-    #[test]
-    fn resolve_random_lps_matches_fresh_after_random_branch() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(4242);
-        let opts = SimplexOptions::default();
-        let mut warm_hits = 0usize;
-        for trial in 0..40 {
-            let n = rng.gen_range(2..7);
-            let m = rng.gen_range(1..6);
-            let mut p = Problem::new();
-            let cols: Vec<_> = (0..n)
-                .map(|_| p.add_col(0.0, 4.0, rng.gen_range(-3.0..3.0)))
-                .collect();
-            let x0: Vec<f64> = (0..n).map(|_| rng.gen_range(0.5..3.5)).collect();
-            for _ in 0..m {
-                let coeffs: Vec<(crate::problem::Col, f64)> = cols
-                    .iter()
-                    .map(|&c| (c, rng.gen_range(-2.0..2.0)))
-                    .collect();
-                let lhs: f64 = coeffs.iter().map(|&(c, a)| a * x0[c.index()]).sum();
-                p.add_row(Sense::Le, lhs + rng.gen_range(0.0..2.0), &coeffs);
-            }
-            let mut scratch = SimplexScratch::new(&p);
-            scratch.set_node_bounds(&[]);
-            let (root, _) = scratch.solve_fresh(&opts);
-            assert_eq!(root.status, LpStatus::Optimal, "trial {trial}");
-            let Some(snap) = scratch.snapshot() else {
-                continue; // degenerate phase 1 left an artificial basic
-            };
-            warm_hits += 1;
-            // branch a random column to a sub-interval of its range
-            let j = rng.gen_range(0..n);
-            let (lo, hi) = if rng.gen_bool(0.5) {
-                (0.0, root.x[j].floor())
-            } else {
-                (root.x[j].floor() + 1.0, 4.0)
-            };
-            if lo > hi {
-                continue;
-            }
-            scratch.set_node_bounds(&[(j, lo, hi)]);
-            let (warm, _) = scratch.resolve_from_basis(&snap, &opts);
-            let mut tight = p.clone();
-            tight.lower[j] = lo;
-            tight.upper[j] = hi;
-            let fresh = solve_lp(&tight, &opts);
-            assert_eq!(warm.status, fresh.status, "trial {trial}");
-            if warm.status == LpStatus::Optimal {
-                assert!(
-                    (warm.objective - fresh.objective).abs() < 1e-7,
-                    "trial {trial}: warm {} fresh {}",
-                    warm.objective,
-                    fresh.objective
-                );
-                assert!(tight.is_feasible(&warm.x, 1e-5), "trial {trial}");
-            }
-        }
-        assert!(warm_hits > 20, "warm path barely exercised: {warm_hits}");
     }
 
     #[test]

@@ -77,11 +77,14 @@ pub mod counters {
     pub const DEGRADE_IDENTITY_MERGES: &str = "degrade.identity_merges";
     /// Level passes that panicked and were re-run on one core.
     pub const DEGRADE_SALVAGED_WORKERS: &str = "degrade.salvaged_workers";
-    /// Flow routings answered from the displacement-stencil cache.
+    /// Flow routings answered from a displacement-stencil cache, summed
+    /// over the run's caches (the machine's and one per sub-problem solve).
     pub const STENCIL_HITS: &str = "route.stencil.hits";
-    /// Flow routings that built (and inserted) a new stencil.
+    /// Flow routings that built (and inserted) a new stencil, summed over
+    /// the run's caches.
     pub const STENCIL_MISSES: &str = "route.stencil.misses";
-    /// Distinct stencils resident in the cache at report time.
+    /// Distinct stencils resident in each cache at report time, summed
+    /// over the run's caches.
     pub const STENCIL_ENTRIES: &str = "route.stencil.entries";
     /// Nodes acquired by stealing from a sibling worker's deque.
     pub const MILP_STEALS: &str = "milp.steals";

@@ -842,7 +842,7 @@ impl RunContext<'_> {
         // Each solve routes through a stencil cache of its own: a batch
         // runs its solves side by side, and one cache shared between them
         // made each 8-cluster anneal of cg-1k-anneal about 2.5 ms (9%)
-        // slower.
+        // slower. It adds its counters to the journal once, at the end.
         let stencils = Arc::new(RouteStencilCache::new(cube));
         let sa = anneal_map(
             cube,
@@ -856,7 +856,7 @@ impl RunContext<'_> {
                 stencils: Some(Arc::clone(&stencils)),
             },
         );
-        if !cfg.use_milp {
+        let placement = if !cfg.use_milp {
             // annealing IS the configured top level here — not a downgrade
             rec.incr(counters::DEGRADE_ANNEAL);
             sa.placement
@@ -921,7 +921,9 @@ impl RunContext<'_> {
                     sa.placement
                 }
             }
-        }
+        };
+        stencils.report(rec);
+        placement
     }
 }
 

@@ -111,6 +111,8 @@ fn walkthrough_journal_snapshot() {
         (counters::MERGE_CANDIDATES_EVALUATED, 1088),
         (counters::MERGE_CANDIDATES_KEPT, 192),
         (counters::MERGE_CANDIDATES_PRUNED, 767),
+        (counters::STENCIL_HITS, 324426),
+        (counters::STENCIL_MISSES, 30),
     ] {
         assert_eq!(
             journal.counter(name),
