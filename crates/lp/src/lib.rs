@@ -11,15 +11,15 @@
 //! * [`simplex`] — a two-phase, bounded-variable *revised* primal simplex
 //!   with a dense maintained basis inverse; Dantzig pricing with a Bland
 //!   anti-cycling fallback.
-//! * [`milp`] — one branch-and-bound over the simplex relaxation:
-//!   most-fractional branching, best-bound pruning, work-stealing workers
-//!   (any count, one included, with the same optimum) that solve each
-//!   node's LP fresh under its own bounds, warm incumbents (RAHTM seeds one
-//!   from simulated annealing), and deterministic node budgets alongside
-//!   optional wall-clock deadlines. With an exhausted budget the solver
-//!   returns the best incumbent — exactly how practitioners run CPLEX on
-//!   hard instances (the paper's solves took up to 35 hours; ours are
-//!   budgeted to keep the test suite fast).
+//! * [`milp`] — one depth-first branch-and-bound over the simplex
+//!   relaxation, on the calling thread: most-fractional branching,
+//!   best-bound pruning, each node's LP solved fresh under its own bounds,
+//!   warm incumbents (RAHTM seeds one from simulated annealing), and
+//!   deterministic node budgets alongside optional wall-clock deadlines.
+//!   With an exhausted budget the solver returns the best incumbent —
+//!   exactly how practitioners run CPLEX on hard instances (the paper's
+//!   solves took up to 35 hours; ours are budgeted to keep the test suite
+//!   fast).
 //!
 //! The solver is deliberately scoped to RAHTM's problem sizes (hundreds to
 //! a few thousand rows); it favours clarity and correctness over

@@ -52,17 +52,13 @@ pub struct Solution {
 pub struct SimplexOptions {
     /// Pivot budget across both phases.
     pub max_iters: usize,
-    /// Wall-clock budget, polled every [`DEADLINE_CHECK_EVERY`] pivots and
-    /// once per column of each basis refactorization.
+    /// Wall-clock budget, polled before every pivot and once per column of
+    /// each basis refactorization.
     pub deadline: Deadline,
     /// Trace sink (disabled by default; counters are recorded once per
     /// solve, never per pivot).
     pub recorder: Recorder,
 }
-
-/// Pivots between wall-clock polls (an `Instant::now()` call is ~20ns but a
-/// pivot on tiny sub-problems can be comparable, so polling is batched).
-pub const DEADLINE_CHECK_EVERY: usize = 64;
 
 /// Primal feasibility tolerance.
 const FEAS_TOL: f64 = 1e-7;
@@ -369,11 +365,9 @@ impl Tableau {
         let mut bland = false;
         let art_start = self.n_struct + m;
         while iters < budget {
-            if iters.is_multiple_of(DEADLINE_CHECK_EVERY) {
-                polls += 1;
-                if opts.deadline.is_expired() {
-                    return (LpStatus::TimeLimit, iters, polls);
-                }
+            polls += 1;
+            if opts.deadline.is_expired() {
+                return (LpStatus::TimeLimit, iters, polls);
             }
             if iters > 0
                 && iters.is_multiple_of(self.refactor_every)
@@ -1051,17 +1045,19 @@ mod tests {
         assert_eq!(polls, 2);
     }
 
-    /// Every pivot here brings a dense column into the basis of a
-    /// 1,500-row LP, and refactorizing after every pivot costs O(k·m²) for
-    /// k dense basic columns: the 64 pivots before the pivot loop's next
-    /// poll take seconds. The poll inside the elimination ends the solve
-    /// shortly after the deadline instead.
+    /// A 2,000-row LP whose basis is refactorized after every pivot: one
+    /// refactorization takes about ten times as long as the pivot before
+    /// it, so the pivot loop's own poll cannot end the solve on time. Two
+    /// untimed solves measure when the first refactorization starts and
+    /// how long it lasts; a deadline a quarter of the way into it must end
+    /// the solve well before the refactorization would have finished.
     #[test]
     #[cfg_attr(debug_assertions, ignore = "timing test; run with --release")]
     fn deadline_interrupts_refactorization() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let (m, n) = (1500, 200);
+        use std::time::Instant;
+        let (m, n) = (2000, 200);
         let mut rng = StdRng::seed_from_u64(7);
         let mut p = Problem::new();
         let cols: Vec<_> = (0..n)
@@ -1071,20 +1067,29 @@ mod tests {
             let coeffs: Vec<_> = cols.iter().map(|&c| (c, rng.gen_range(0.5..1.5))).collect();
             p.add_row(Sense::Ge, rng.gen_range(1.0..10.0), &coeffs);
         }
-        let opts = SimplexOptions {
-            deadline: Deadline::after(std::time::Duration::from_millis(50)),
-            ..Default::default()
+        let solve = |max_iters: usize, deadline: Deadline| {
+            let opts = SimplexOptions {
+                max_iters,
+                deadline,
+                ..Default::default()
+            };
+            let start = Instant::now();
+            let s = solve_lp_refactoring_every(&p, &opts, 1);
+            (s, start.elapsed())
         };
-        let start = std::time::Instant::now();
-        let s = solve_lp_refactoring_every(&p, &opts, 1);
-        let secs = start.elapsed().as_secs_f64();
+        // One pivot runs before the first refactorization; a second pivot
+        // runs after it.
+        let (_, before) = solve(1, Deadline::never());
+        let (_, through) = solve(2, Deadline::never());
+        let refactor = through.saturating_sub(before);
+        let limit = before + refactor / 4;
+        let (s, elapsed) = solve(100_000, Deadline::after(limit));
         assert_eq!(s.status, LpStatus::TimeLimit);
+        assert!(s.iterations < 64, "{} pivots", s.iterations);
         assert!(
-            s.iterations < DEADLINE_CHECK_EVERY,
-            "{} pivots",
-            s.iterations
+            elapsed < limit + refactor / 2,
+            "deadline {limit:?}, returned after {elapsed:?} (refactorization {refactor:?})"
         );
-        assert!(secs < 0.5, "returned after {secs:.3} s");
     }
 
     #[test]

@@ -86,9 +86,7 @@ pub mod counters {
     /// Distinct stencils resident in each cache at report time, summed
     /// over the run's caches.
     pub const STENCIL_ENTRIES: &str = "route.stencil.entries";
-    /// Nodes acquired by stealing from a sibling worker's deque.
-    pub const MILP_STEALS: &str = "milp.steals";
-    /// Times the shared incumbent was improved (or tie-broken) by a worker.
+    /// Times the branch-and-bound incumbent was improved (or tie-broken).
     pub const MILP_INCUMBENT_UPDATES: &str = "milp.incumbent_updates";
     /// Placement columns fixed to zero by hypercube symmetry breaking.
     pub const MILP_SYMMETRY_PRUNED: &str = "milp.symmetry_pruned";

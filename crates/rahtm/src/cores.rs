@@ -1,18 +1,16 @@
 //! Central core accounting for every parallel phase.
 //!
-//! Two kinds of work run worker threads: the job runner (`run_jobs`),
-//! which runs the pipeline's per-level batches ([`crate::pipeline`]) and
-//! the merge's beam-step waves ([`crate::merge`]), and the work-stealing
-//! branch-and-bound inside the MILP ([`rahtm_lp::milp`]). A run's runners
-//! share one spare-core budget (`CoreBudget`): a helper thread claims one
-//! spare core, without waiting, until it exits, and the pipeline driver
-//! lends its own core while it joins a batch's helpers. So a core a batch
-//! no longer needs speeds up whichever merge is still running in it. A
-//! job's result never depends on how many helpers ran. The
-//! branch-and-bound's thread count is fixed per run: `milp_threads = 0`
-//! gives it the run's core budget. [`share`] and [`resolve`] turn a thread
-//! knob into a count for callers outside the pipeline, such as a benchmark
-//! driver.
+//! One job runner (`run_jobs`) starts every worker thread of a run: it
+//! runs the pipeline's per-level batches ([`crate::pipeline`]) and the
+//! merge's beam-step waves ([`crate::merge`]). The MILP inside a job runs
+//! on that job's thread ([`rahtm_lp::milp`]). A run's runners share one
+//! spare-core budget (`CoreBudget`): a helper thread claims one spare
+//! core, without waiting, until it exits, and the pipeline driver lends
+//! its own core while it joins a batch's helpers. So a core a batch no
+//! longer needs speeds up whichever merge is still running in it. A job's
+//! result never depends on how many helpers ran. [`share`] and [`resolve`]
+//! turn a thread knob into a count for a benchmark driver outside the
+//! pipeline; nothing in the workspace calls them.
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -30,12 +28,11 @@ pub fn share(parts: usize) -> usize {
     available() / parts.max(1).min(available())
 }
 
-/// Resolves a user-facing thread knob: `0` means "auto" (an even
-/// [`share`] for one of `parts` concurrent consumers); an explicit request
-/// is honored verbatim — asking for more threads than cores merely
-/// timeshares, and solver results are thread-count-independent, so
-/// silently downgrading the request (e.g. four workers → one on a 1-core
-/// box) would be the bigger surprise.
+/// Resolves a thread knob: `0` means "auto" (an even [`share`] for one of
+/// `parts` concurrent consumers); an explicit request is returned as is.
+/// Nothing in the workspace calls it: the pipeline ignores its one thread
+/// knob (`RahtmConfig::milp_threads`), and only the benchmark driver still
+/// resolves it for its report.
 pub fn resolve(requested: usize, parts: usize) -> usize {
     if requested == 0 {
         share(parts)

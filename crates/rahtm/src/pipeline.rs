@@ -64,14 +64,9 @@ pub struct RahtmConfig {
     pub milp_node_budget: usize,
     /// Simplex pivot budget per LP.
     pub milp_lp_iters: usize,
-    /// Branch-and-bound worker threads per Table II solve (default 1).
-    /// `0` means auto: one worker per core of the run's budget (all usable
-    /// cores for [`RahtmMapper::run`]). These threads sit outside the run's
-    /// core budget, so several solves of one level's batch running side by
-    /// side can oversubscribe the machine. The count sets only the number of
-    /// workers: every count solves the same formulation, symmetry breaking
-    /// included (`rahtm_lp::milp` states when the answers are
-    /// bit-identical).
+    /// Ignored: each Table II solve runs its branch-and-bound on the
+    /// thread that solves the sub-problem. Kept only for the benchmark
+    /// driver that still reads it.
     pub milp_threads: usize,
     /// Simulated-annealing proposals per sub-problem (incumbent and/or
     /// fallback).
@@ -415,11 +410,6 @@ impl RahtmMapper {
             // merge, the polish pass, and the final MCL prediction.
             machine_stencils: Arc::new(RouteStencilCache::new(topo)),
             deadline,
-            milp_threads: if cfg.milp_threads == 0 {
-                cores
-            } else {
-                cfg.milp_threads
-            },
             recorder,
         };
         let rec = &ctx.recorder;
@@ -517,7 +507,6 @@ struct RunContext<'a> {
     g_node: &'a CommGraph,
     machine_stencils: Arc<RouteStencilCache>,
     deadline: Deadline,
-    milp_threads: usize,
     recorder: Recorder,
 }
 
@@ -882,7 +871,6 @@ impl RunContext<'_> {
                     incumbent: Some(sa.placement.clone()),
                     milp: MilpOptions {
                         max_nodes: cfg.milp_node_budget,
-                        threads: self.milp_threads,
                         lp: SimplexOptions {
                             max_iters: cfg.milp_lp_iters,
                             deadline: milp_deadline,
@@ -1477,30 +1465,27 @@ mod tests {
     }
 
     #[test]
-    fn milp_config_prunes_symmetry_for_any_thread_count() {
+    fn milp_config_prunes_symmetry() {
         let machine = BgqMachine::toy_4x4();
         let g = patterns::halo_2d(4, 4, 10.0, true);
-        for milp_threads in [1, 2] {
-            let cfg = RahtmConfig {
-                use_milp: true,
-                milp_threads,
-                milp_node_budget: 25,
-                anneal_iters: 2_000,
-                beam_width: 8,
-                ..Default::default()
-            };
-            let res = RahtmMapper::new(cfg.clone()).map(&machine, &g, Some(RankGrid::new(&[4, 4])));
-            res.mapping.validate(&machine);
-            assert!(res.stats.milp_nodes > 0);
-            assert!(
-                res.stats.milp_symmetry_pruned > 0,
-                "{milp_threads} worker(s) must run with orbital fixing: {:?}",
-                res.stats
-            );
-            // the branch-and-bound is deterministic: repeat runs agree
-            let again = RahtmMapper::new(cfg).map(&machine, &g, Some(RankGrid::new(&[4, 4])));
-            assert_eq!(res.mapping, again.mapping);
-        }
+        let cfg = RahtmConfig {
+            use_milp: true,
+            milp_node_budget: 25,
+            anneal_iters: 2_000,
+            beam_width: 8,
+            ..Default::default()
+        };
+        let res = RahtmMapper::new(cfg.clone()).map(&machine, &g, Some(RankGrid::new(&[4, 4])));
+        res.mapping.validate(&machine);
+        assert!(res.stats.milp_nodes > 0);
+        assert!(
+            res.stats.milp_symmetry_pruned > 0,
+            "the MILP must run with orbital fixing: {:?}",
+            res.stats
+        );
+        // the branch-and-bound is deterministic: repeat runs agree
+        let again = RahtmMapper::new(cfg).map(&machine, &g, Some(RankGrid::new(&[4, 4])));
+        assert_eq!(res.mapping, again.mapping);
     }
 
     #[test]

@@ -45,7 +45,6 @@ struct Args {
     fast: bool,
     milp: bool,
     beam: Option<usize>,
-    milp_threads: Option<usize>,
     time_limit: Option<f64>,
     trace_json: Option<String>,
     quiet: bool,
@@ -54,11 +53,8 @@ struct Args {
 fn usage() -> &'static str {
     "usage: rahtm-map (--profile FILE.json | --benchmark BT|SP|CG --ranks N)\n       \
      --machine AxBxC... [--cores N] [--grid RxC] [--out FILE.map]\n       \
-     [--fast] [--milp] [--milp-threads N] [--beam N] [--time-limit SECS]\n       \
-     [--trace-json FILE] [--quiet]\n\n\
-     --milp-threads N   branch-and-bound workers per MILP solve\n\
-                        (default 1, 0 = one per usable core;\n\
-                        same formulation for any count)"
+     [--fast] [--milp] [--beam N] [--time-limit SECS]\n       \
+     [--trace-json FILE] [--quiet]"
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -73,7 +69,6 @@ fn parse_args() -> Result<Args, String> {
         fast: false,
         milp: false,
         beam: None,
-        milp_threads: None,
         time_limit: None,
         trace_json: None,
         quiet: false,
@@ -140,14 +135,6 @@ fn parse_args() -> Result<Args, String> {
                     value(&argv, i, "--beam")?
                         .parse()
                         .map_err(|e| format!("--beam: {e}"))?,
-                );
-                i += 2;
-            }
-            "--milp-threads" => {
-                a.milp_threads = Some(
-                    value(&argv, i, "--milp-threads")?
-                        .parse()
-                        .map_err(|e| format!("--milp-threads: {e}"))?,
                 );
                 i += 2;
             }
@@ -281,9 +268,6 @@ fn run(args: &Args) -> Result<(), RahtmError> {
     cfg.use_milp = args.milp || (!args.fast && cfg.use_milp);
     if let Some(b) = args.beam {
         cfg.beam_width = b;
-    }
-    if let Some(t) = args.milp_threads {
-        cfg.milp_threads = t;
     }
     cfg.time_limit = args.time_limit.map(Duration::from_secs_f64);
     let recorder = if args.trace_json.is_some() {

@@ -131,6 +131,26 @@ fn bad_benchmark_rejected() {
 }
 
 #[test]
+fn removed_milp_threads_flag_is_unknown() {
+    let output = bin()
+        .args([
+            "--benchmark",
+            "CG",
+            "--ranks",
+            "64",
+            "--machine",
+            "4x4",
+            "--milp-threads",
+            "2",
+        ])
+        .output()
+        .expect("binary runs");
+    assert_eq!(output.status.code(), Some(2), "usage error");
+    let err = String::from_utf8_lossy(&output.stderr);
+    assert!(err.contains("unknown argument '--milp-threads'"), "{err}");
+}
+
+#[test]
 fn non_dividing_ranks_rejected() {
     let output = bin()
         .args([

@@ -57,36 +57,6 @@ fn milp_timeout_falls_back_to_annealing() {
     );
 }
 
-/// (a') The same expired-deadline injection under the *multi-threaded*
-/// branch-and-bound: every worker observes the deadline, the solve
-/// returns the warm annealing incumbent instead of hanging or erroring,
-/// and the downgrade is reported exactly as with one worker.
-#[test]
-fn expired_deadline_returns_warm_incumbent_under_parallel_search() {
-    let machine = BgqMachine::toy_4x4();
-    let g = patterns::halo_2d(4, 4, 10.0, true);
-    let plan = FaultPlan::inject(Fault::SolverTimeout, 0);
-    let cfg = RahtmConfig {
-        milp_threads: 4,
-        ..milp_cfg(plan.clone())
-    };
-    let res = RahtmMapper::new(cfg)
-        .run(&machine, &g, Some(RankGrid::new(&[4, 4])))
-        .expect("parallel workers must drain on an expired deadline");
-    assert!(plan.fired(), "the targeted solve was reached");
-    assert_valid_mapping(&machine, &res);
-    let d = &res.stats.degradation;
-    assert_eq!(
-        d.downgraded, 1,
-        "kept the incumbent, downgraded once: {d:?}"
-    );
-    assert!(
-        d.events.iter().any(|e| e.contains("deadline hit")),
-        "timeout recorded: {:?}",
-        d.events
-    );
-}
-
 /// A forced infeasibility takes the same rung with its own event trail.
 #[test]
 fn forced_infeasibility_falls_back_to_annealing() {
